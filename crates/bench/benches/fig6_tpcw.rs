@@ -35,7 +35,6 @@ fn main() {
                 bookstore_shards: 1,
                 read_only: false,
                 page_cost_scale: 1,
-                speculative: false,
                 cross_shard_buys: false,
                 seed: 2007,
             });
@@ -94,7 +93,6 @@ fn main() {
         bookstore_shards: 1,
         read_only: false,
         page_cost_scale: 1,
-        speculative: false,
         cross_shard_buys: false,
         seed: 2007,
     };
@@ -133,7 +131,6 @@ fn main() {
         bookstore_shards: 1,
         read_only: false,
         page_cost_scale: 100,
-        speculative: false,
         cross_shard_buys: false,
         seed: 2007,
     };

@@ -1,7 +1,7 @@
 //! # pws-bench
 //!
 //! Shared machinery for the benchmark targets that regenerate the paper's
-//! evaluation (one bench per table/figure; see DESIGN.md for the index):
+//! evaluation (one bench per table/figure):
 //!
 //! | Target | Paper artifact |
 //! |---|---|
@@ -10,7 +10,7 @@
 //! | `fig7_scalability` | Fig. 7 (null-request throughput vs replicas) |
 //! | `fig8_processing` | Fig. 8 (completion time & overhead vs CPU time) |
 //! | `fig9_async` | Fig. 9 (throughput vs parallel async requests) |
-//! | `micro` | §6.4 micro-claims (MAC vs signature, marshal vs crypto) |
+//! | `ablation_crypto` | §3/§6.4 (MAC vs signature authentication, Fig. 7 sweep) |
 //!
 //! Absolute numbers come from the simulation's calibrated cost model, so
 //! they are not comparable to the paper's testbed; the *shapes* (who wins,
@@ -659,17 +659,10 @@ pub fn emit_table(name: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Headline benches whose JSON artifact is mirrored at the repository
-/// root and committed, so the perf trajectory accumulates in git history
-/// instead of dying with CI's discarded `target/` dir.
-pub const COMMITTED_BENCH_JSON: &[&str] = &["fig8", "sharded"];
-
 /// Writes a flat JSON object of headline numbers to
 /// `target/figures/BENCH_<name>.json`, so CI (and humans) can diff a
 /// run's key results without parsing the printed tables. Values are
-/// emitted with enough precision to round-trip `f64` exactly. Headline
-/// artifacts ([`COMMITTED_BENCH_JSON`]) are also mirrored to
-/// `BENCH_<name>.json` at the repository root.
+/// emitted with enough precision to round-trip `f64` exactly.
 pub fn emit_bench_json(name: &str, fields: &[(&str, f64)]) {
     let mut body = String::from("{\n");
     for (i, (key, value)) in fields.iter().enumerate() {
@@ -684,14 +677,6 @@ pub fn emit_bench_json(name: &str, fields: &[(&str, f64)]) {
     match write {
         Ok(()) => println!("(json -> {})", path.display()),
         Err(e) => eprintln!("(json not written: {e})"),
-    }
-    if COMMITTED_BENCH_JSON.contains(&name) {
-        let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-        let mirror = root.join(format!("BENCH_{name}.json"));
-        match std::fs::write(&mirror, &body) {
-            Ok(()) => println!("(json mirrored -> {})", mirror.display()),
-            Err(e) => eprintln!("(json mirror not written: {e})"),
-        }
     }
 }
 

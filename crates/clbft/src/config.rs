@@ -37,13 +37,6 @@ pub struct Config {
     /// geometry is digest-covered, so a mismatched replica simply never
     /// agrees with any checkpoint.
     pub page_size: u32,
-    /// Speculative execution (Zyzzyva-style): when set, replicas emit
-    /// [`crate::Action::SpeculativeExecute`] as soon as a slot pre-prepares
-    /// in the current view, overlapping application execution with the
-    /// prepare/commit rounds. Commit then finalizes the speculative result
-    /// without re-executing; a view change that discards the slot emits
-    /// [`crate::Action::RollbackSpeculation`]. Off by default.
-    pub speculative: bool,
     /// Collect per-request lifecycle phase events
     /// ([`crate::ObsEvent::Phase`]) for the harness to drain via
     /// [`crate::Replica::take_obs_events`]. Off by default; flight events
@@ -78,7 +71,6 @@ impl Config {
             pipeline_depth: 2,
             batch_delay_us: 1_000,
             page_size: crate::pages::DEFAULT_PAGE_SIZE,
-            speculative: false,
             obs_phases: false,
             audit: false,
         }

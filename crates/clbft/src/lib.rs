@@ -44,7 +44,7 @@
 //! faulty replica can lie about its *own* state but cannot impersonate
 //! others. View-change messages carry prepared-set claims whose digest
 //! consistency is checked structurally; the nested MAC chains of the
-//! original paper's proofs are elided (see DESIGN.md).
+//! original paper's proofs are elided.
 //!
 //! # Example: a four-replica group reaching agreement in memory
 //!

@@ -126,27 +126,6 @@ pub enum Action {
     /// own channel — the client accepts it only on `2f + 1` matching
     /// copies.
     ReadOnly(Request),
-    /// Speculatively execute the batch pre-prepared at `seq`
-    /// (Zyzzyva-style, emitted only with [`Config::speculative`]): the
-    /// harness must execute against a rollback-able copy of state, after
-    /// snapshotting enough to honour a later
-    /// [`Action::RollbackSpeculation`]. When the slot commits, the normal
-    /// [`Action::Execute`] for it follows with the identical batch — the
-    /// harness finalizes the speculative result instead of re-executing.
-    SpeculativeExecute {
-        /// The pre-prepared (not yet committed) slot.
-        seq: Seq,
-        /// The not-yet-executed requests of the slot's batch, in order
-        /// (deduplicated exactly as [`Action::Execute`] would).
-        batch: Vec<Request>,
-    },
-    /// A view change (or state install) discarded speculated slots: the
-    /// harness must restore application state to what it was after the
-    /// `Execute` for `to` (every `SpeculativeExecute` above `to` is void).
-    RollbackSpeculation {
-        /// The committed frontier speculation rolls back to.
-        to: Seq,
-    },
     /// The replica entered a new view.
     EnteredView(View),
     /// Maintain the view-change timer.
@@ -317,15 +296,6 @@ pub struct Replica {
     /// `try_execute` when a proposal executes synchronously (n = 1); the
     /// outer drain loop already continues, so inner calls are no-ops.
     draining: bool,
-    /// Highest slot speculatively executed ([`Config::speculative`]);
-    /// never below `last_exec` matters — reads are gated on
-    /// `last_spec <= last_exec`, i.e. no tentative state ahead of the
-    /// committed frontier.
-    last_spec: Seq,
-    /// Request ids delivered via [`Action::SpeculativeExecute`] whose slot
-    /// has not yet committed; keeps re-proposals from speculating a
-    /// request twice. Bounded by the in-flight window.
-    spec_overlay: HashSet<RequestId>,
     /// State transfer in progress: set when this replica solicits a fetch
     /// (lag evidence or explicit rejoin) and cleared only once the fetch
     /// is satisfied *and* the known committed suffix has replayed — until
@@ -419,8 +389,6 @@ impl Replica {
             queue: VecDeque::new(),
             batch_timer_armed: false,
             draining: false,
-            last_spec: Seq::ZERO,
-            spec_overlay: HashSet::new(),
             recovering: false,
             view_changes: BTreeMap::new(),
             new_view_sent: HashSet::new(),
@@ -559,24 +527,16 @@ impl Replica {
     }
 
     /// Whether the read-only fast path may answer right now: not mid view
-    /// change, no state transfer in flight (a freshly installed checkpoint
-    /// may be a whole suffix behind the group), and no speculative results
-    /// ahead of the committed frontier (a read must never observe state
-    /// that could still roll back).
+    /// change and no state transfer in flight (a freshly installed
+    /// checkpoint may be a whole suffix behind the group).
     pub fn can_serve_reads(&self) -> bool {
-        !self.in_view_change && !self.recovering && self.last_spec <= self.last_exec
+        !self.in_view_change && !self.recovering
     }
 
     /// Whether a solicited state transfer is still in progress (reads stay
     /// gated until the fetched checkpoint's committed suffix replays).
     pub fn state_transfer_in_progress(&self) -> bool {
         self.recovering
-    }
-
-    /// Highest speculatively executed slot (equals [`Replica::last_executed`]
-    /// or below whenever no tentative state is live).
-    pub fn last_speculated(&self) -> Seq {
-        self.last_spec.max(self.last_exec)
     }
 
     /// Submits a request at this replica (from a local client/driver).
@@ -693,47 +653,6 @@ impl Replica {
         out.push(Action::Broadcast(Msg::PrePrepare(pp)));
         // n = 1 degenerate group: prepared immediately.
         self.try_prepare_transition(seq, out);
-        self.try_speculate(out);
-    }
-
-    /// Speculative execution (Zyzzyva-style): as soon as slots
-    /// pre-prepare contiguously above the speculation frontier in the
-    /// current view, emit their not-yet-executed requests for tentative
-    /// execution — without waiting for prepare/commit. Commit later
-    /// finalizes each slot via the ordinary [`Action::Execute`]; a view
-    /// change that discards a speculated slot triggers
-    /// [`Action::RollbackSpeculation`] from [`Replica::enter_view`].
-    fn try_speculate(&mut self, out: &mut Vec<Action>) {
-        if !self.cfg.speculative || self.in_view_change || self.recovering {
-            return;
-        }
-        self.last_spec = self.last_spec.max(self.last_exec);
-        loop {
-            let next = self.last_spec.next();
-            let Some((v, batch)) = self
-                .log
-                .slot(next)
-                .and_then(|s| s.pre_prepare.as_ref())
-                .map(|(v, _, b)| (*v, b.clone()))
-            else {
-                break;
-            };
-            if v != self.view {
-                break;
-            }
-            self.last_spec = next;
-            let fresh: Vec<Request> = batch
-                .requests
-                .into_iter()
-                .filter(|r| !self.executed.contains(&r.id) && self.spec_overlay.insert(r.id))
-                .collect();
-            if !fresh.is_empty() {
-                out.push(Action::SpeculativeExecute {
-                    seq: next,
-                    batch: fresh,
-                });
-            }
-        }
     }
 
     /// Arms the batch timer while requests are waiting in the queue and
@@ -858,7 +777,6 @@ impl Replica {
             .insert(self.id);
         out.push(Action::Broadcast(Msg::Prepare(prep)));
         self.try_prepare_transition(pp.seq, out);
-        self.try_speculate(out);
     }
 
     fn handle_prepare(&mut self, from: ReplicaId, p: PrepareMsg, out: &mut Vec<Action>) {
@@ -989,7 +907,6 @@ impl Replica {
             let mut fresh = Vec::new();
             for request in batch.requests {
                 let first_time = self.executed.insert(request.id);
-                self.spec_overlay.remove(&request.id);
                 if self.requests.remove(&request.id).is_some() {
                     self.outstanding = self.outstanding.saturating_sub(1);
                 }
@@ -1757,12 +1674,8 @@ impl Replica {
     ) {
         self.obs_flight(FlightKind::StateInstalled, seq.0, manifest.len() as u64);
         self.obs_proto(ProtoFamily::Xfer, seq.0, 3, manifest.len() as u64);
-        // Jump the protocol state to the verified checkpoint. Any live
-        // speculation is void — `InstallState` replaces application state
-        // wholesale, so no separate rollback action is needed — and reads
-        // stay gated until the committed suffix replays.
-        self.last_spec = seq;
-        self.spec_overlay.clear();
+        // Jump the protocol state to the verified checkpoint; reads stay
+        // gated until the committed suffix replays.
         self.recovering = true;
         self.last_exec = seq;
         self.exec_chain = exec_chain;
@@ -1874,7 +1787,6 @@ impl Replica {
         let mut fresh = Vec::new();
         for request in batch.requests {
             let first_time = self.executed.insert(request.id);
-            self.spec_overlay.remove(&request.id);
             if self.requests.remove(&request.id).is_some() {
                 self.outstanding = self.outstanding.saturating_sub(1);
                 self.queue.retain(|q| *q != request.id);
@@ -2117,7 +2029,6 @@ impl Replica {
             }
             self.try_prepare_transition(pp.seq, out);
         }
-        self.try_speculate(out);
         self.repropose_pending(out);
     }
 
@@ -2137,15 +2048,6 @@ impl Replica {
     }
 
     fn enter_view(&mut self, v: View, out: &mut Vec<Action>) {
-        // Speculative execution beyond the committed prefix is void: the new
-        // view may re-propose those slots differently (or drop them). Tell
-        // the application to restore its last durable state and re-derive
-        // from the executed chain before anything from the new view runs.
-        if self.last_spec > self.last_exec {
-            out.push(Action::RollbackSpeculation { to: self.last_exec });
-        }
-        self.last_spec = self.last_exec;
-        self.spec_overlay.clear();
         self.view = v;
         self.obs_flight(FlightKind::EnteredView, v.0, 0);
         // Installing view `v` also retires every still-open view-change
@@ -2285,9 +2187,7 @@ mod tests {
                 | Action::EnteredView(_)
                 | Action::ViewTimer(_)
                 | Action::BatchTimer(_)
-                | Action::ReadOnly(_)
-                | Action::SpeculativeExecute { .. }
-                | Action::RollbackSpeculation { .. } => {}
+                | Action::ReadOnly(_) => {}
             }
         }
     }
@@ -3661,159 +3561,6 @@ mod tests {
         run_to_quiescence(&mut rs, inbox, &[]);
         assert_eq!(rs[3].last_executed(), rs[0].last_executed());
         assert!(rs[3].can_serve_reads(), "reads reopen once caught up");
-    }
-
-    // ---- Speculative execution ----
-
-    #[test]
-    fn speculation_fires_at_pre_prepare_time() {
-        let mut rs = group_with(4, |c| c.speculative = true);
-        // The primary speculates at proposal time...
-        let a = rs[0].on_request(req(1));
-        assert!(
-            a.iter().any(|x| matches!(
-                x,
-                Action::SpeculativeExecute { seq, batch } if *seq == Seq(1) && batch.len() == 1
-            )),
-            "primary speculates its own proposal: {a:?}"
-        );
-        assert_eq!(rs[0].last_speculated(), Seq(1));
-        assert!(
-            !rs[0].can_serve_reads(),
-            "tentative state must not serve reads"
-        );
-        // ...and a backup speculates on receiving the pre-prepare.
-        let pp = a
-            .iter()
-            .find_map(|x| match x {
-                Action::Broadcast(Msg::PrePrepare(pp)) => Some(pp.clone()),
-                _ => None,
-            })
-            .expect("proposal broadcast");
-        let b = rs[1].on_message(ReplicaId(0), Msg::PrePrepare(pp.clone()));
-        assert!(
-            b.iter()
-                .any(|x| matches!(x, Action::SpeculativeExecute { seq, .. } if *seq == Seq(1))),
-            "backup speculates at pre-prepare: {b:?}"
-        );
-        // A duplicate pre-prepare must not re-execute the slot.
-        let dup = rs[1].on_message(ReplicaId(0), Msg::PrePrepare(pp));
-        assert!(
-            !dup.iter()
-                .any(|x| matches!(x, Action::SpeculativeExecute { .. })),
-            "{dup:?}"
-        );
-    }
-
-    #[test]
-    fn speculative_group_converges_and_folds_into_committed_frontier() {
-        let mut rs = group_with(4, |c| c.speculative = true);
-        let mut inbox = VecDeque::new();
-        let mut executed = vec![Vec::new(); 4];
-        for c in 1..=20 {
-            submit(&mut rs, (c % 4) as usize, req(c), &mut inbox, &mut executed);
-        }
-        let more = run_to_quiescence(&mut rs, inbox, &[]);
-        for (i, m) in more.into_iter().enumerate() {
-            executed[i].extend(m);
-        }
-        for ex in &executed {
-            assert_eq!(ex.len(), 20);
-        }
-        for i in 1..4 {
-            assert_eq!(executed[0], executed[i], "order differs at replica {i}");
-        }
-        for r in &rs {
-            assert_eq!(
-                r.last_speculated(),
-                r.last_executed(),
-                "no dangling speculation"
-            );
-            assert!(r.can_serve_reads());
-        }
-        let chains: HashSet<_> = rs.iter().map(|r| r.execution_chain()).collect();
-        assert_eq!(chains.len(), 1);
-    }
-
-    #[test]
-    fn view_change_rolls_back_uncommitted_speculation() {
-        let mut rs = group_with(4, |c| c.speculative = true);
-        // Replica 3 speculates slot 1 from a pre-prepare that never commits.
-        let b1 = Batch::of(req(1));
-        let pp = PrePrepareMsg {
-            view: View(0),
-            seq: Seq(1),
-            digest: b1.digest(),
-            batch: b1,
-        };
-        let a = rs[3].on_message(ReplicaId(0), Msg::PrePrepare(pp));
-        assert!(a
-            .iter()
-            .any(|x| matches!(x, Action::SpeculativeExecute { seq, .. } if *seq == Seq(1))));
-        assert_eq!(rs[3].last_speculated(), Seq(1));
-        // A valid NewView discards the slot: the replica must order a
-        // rollback to its committed frontier before any new-view work.
-        let nv = NewViewMsg {
-            view: View(1),
-            voters: vec![ReplicaId(1), ReplicaId(2), ReplicaId(3)],
-            pre_prepares: vec![],
-            replica: ReplicaId(1),
-        };
-        let a = rs[3].on_message(ReplicaId(1), Msg::NewView(nv));
-        let rb = a
-            .iter()
-            .position(|x| matches!(x, Action::RollbackSpeculation { to } if *to == Seq::ZERO))
-            .expect("rollback to the committed frontier");
-        let ev = a
-            .iter()
-            .position(|x| matches!(x, Action::EnteredView(_)))
-            .expect("view entry");
-        assert!(rb < ev, "rollback precedes the view entry: {a:?}");
-        assert_eq!(rs[3].last_speculated(), Seq::ZERO);
-        assert!(rs[3].can_serve_reads());
-    }
-
-    #[test]
-    fn speculation_rolled_back_by_view_change_leaves_converged_chains() {
-        let mut rs = group_with(4, |c| c.speculative = true);
-        let mut inbox = VecDeque::new();
-        let mut executed = vec![Vec::new(); 4];
-        submit(&mut rs, 0, req(1), &mut inbox, &mut executed);
-        let more = run_to_quiescence(&mut rs, inbox, &[]);
-        for (i, m) in more.into_iter().enumerate() {
-            executed[i].extend(m);
-        }
-        // Primary 0 proposes — and speculates — request 2, but the
-        // proposal never leaves: the group view-changes around it.
-        let mut lost = VecDeque::new();
-        submit(&mut rs, 0, req(2), &mut lost, &mut executed);
-        drop(lost);
-        assert_eq!(rs[0].last_speculated(), Seq(2));
-        assert!(!rs[0].can_serve_reads());
-        let mut inbox = VecDeque::new();
-        for i in 1..4 {
-            let actions = rs[i].on_view_timer();
-            route(&mut rs, i, actions, &mut inbox, &mut executed);
-        }
-        let more = run_to_quiescence(&mut rs, inbox, &[]);
-        for (i, m) in more.into_iter().enumerate() {
-            executed[i].extend(m);
-        }
-        // The demoted request re-proposes in the new view; every replica
-        // executes both requests exactly once and the chains converge —
-        // the rolled-back tentative execution left no trace.
-        for (i, ex) in executed.iter().enumerate() {
-            assert_eq!(ex.len(), 2, "replica {i} executed both exactly once");
-        }
-        for i in 1..4 {
-            assert_eq!(executed[0], executed[i], "order differs at replica {i}");
-        }
-        let chains: HashSet<_> = rs.iter().map(|r| r.execution_chain()).collect();
-        assert_eq!(chains.len(), 1, "chains converge after rollback");
-        for r in &rs {
-            assert_eq!(r.last_speculated(), r.last_executed());
-            assert!(r.can_serve_reads());
-        }
     }
 
     // ---- Batch-timer force path ----

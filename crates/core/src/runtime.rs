@@ -245,19 +245,11 @@ enum ClientKind {
 pub struct SystemBuilder {
     seed: u64,
     cost: CostModel,
-    ws_cost: WsCostModel,
-    net: Option<NetConfig>,
-    view_timeout: SimDuration,
-    retry_interval: SimDuration,
     max_batch_size: usize,
-    batch_delay: SimDuration,
     checkpoint_interval: u64,
-    watermark_window: u64,
     page_size: u32,
     recovery_window: Option<SimDuration>,
     reply_retention: Option<usize>,
-    speculative: bool,
-    read_only_quorum: Option<usize>,
     trace: TraceLevel,
     flight_capacity: Option<usize>,
     audit: Option<AuditMode>,
@@ -298,19 +290,11 @@ impl SystemBuilder {
         SystemBuilder {
             seed,
             cost: CostModel::DEFAULT,
-            ws_cost: WsCostModel::DEFAULT,
-            net: None,
-            view_timeout: SimDuration::from_millis(400),
-            retry_interval: SimDuration::from_millis(700),
             max_batch_size: 16,
-            batch_delay: SimDuration::from_millis(1),
             checkpoint_interval: 64,
-            watermark_window: 256,
             page_size: pws_perpetual::DEFAULT_PAGE_SIZE,
             recovery_window: None,
             reply_retention: None,
-            speculative: false,
-            read_only_quorum: None,
             trace: TraceLevel::Off,
             flight_capacity: None,
             audit: None,
@@ -368,37 +352,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides the XML marshal cost model.
-    pub fn ws_cost(&mut self, ws_cost: WsCostModel) -> &mut Self {
-        self.ws_cost = ws_cost;
-        self
-    }
-
-    /// Overrides the network configuration.
-    pub fn net(&mut self, net: NetConfig) -> &mut Self {
-        self.net = Some(net);
-        self
-    }
-
-    /// Overrides the CLBFT view-change timeout.
-    pub fn view_timeout(&mut self, d: SimDuration) -> &mut Self {
-        self.view_timeout = d;
-        self
-    }
-
     /// Overrides the CLBFT request-batching cap for every replica group:
     /// the most requests a voter primary seals into one agreement slot.
     /// `1` disables batching (one request per slot, the pre-batching
     /// behaviour).
     pub fn max_batch_size(&mut self, n: usize) -> &mut Self {
         self.max_batch_size = n.max(1);
-        self
-    }
-
-    /// Overrides the CLBFT batch-delay bound: how long a queued request may
-    /// wait for its batch to seal when the agreement pipeline is full.
-    pub fn batch_delay(&mut self, d: SimDuration) -> &mut Self {
-        self.batch_delay = d;
         self
     }
 
@@ -409,13 +368,6 @@ impl SystemBuilder {
     /// snapshot cost.
     pub fn checkpoint_interval(&mut self, k: u64) -> &mut Self {
         self.checkpoint_interval = k.max(1);
-        self
-    }
-
-    /// Overrides the CLBFT log window (high watermark = stable checkpoint
-    /// + window) for every replica group.
-    pub fn watermark_window(&mut self, w: u64) -> &mut Self {
-        self.watermark_window = w.max(1);
         self
     }
 
@@ -436,26 +388,6 @@ impl SystemBuilder {
     /// stuck call (see the contract on the default in `pws-perpetual`).
     pub fn reply_retention(&mut self, n: usize) -> &mut Self {
         self.reply_retention = Some(n.max(1));
-        self
-    }
-
-    /// Enables speculative execution for every replicated service: voters
-    /// execute a batch when it pre-prepares instead of when it commits,
-    /// rolling the application back from a snapshot if a view change
-    /// discards the slot. Commit then finalizes the already-computed
-    /// result without re-executing.
-    pub fn speculative(&mut self, on: bool) -> &mut Self {
-        self.speculative = on;
-        self
-    }
-
-    /// Overrides the read-only fast-path reply quorum for every caller
-    /// (replicated drivers and singleton clients alike). The default is
-    /// `2f_t + 1` matching replies from the target group, capped at `n_t`;
-    /// lowering it below that trades Byzantine safety for latency and is
-    /// only meant for experiments.
-    pub fn read_only_quorum(&mut self, q: usize) -> &mut Self {
-        self.read_only_quorum = Some(q.max(1));
         self
     }
 
@@ -728,10 +660,7 @@ impl SystemBuilder {
     /// Panics if a client's target service does not exist or a group size is
     /// not `3f + 1`.
     pub fn build(self) -> System {
-        let mut sim = match self.net {
-            Some(net) => Simulation::with_net(self.seed, net),
-            None => Simulation::with_net(self.seed, default_ws_net()),
-        };
+        let mut sim = Simulation::with_net(self.seed, default_ws_net());
         sim.set_trace_level(self.trace);
         if let Some(cap) = self.flight_capacity {
             sim.obs_mut().set_flight_capacity(cap);
@@ -820,19 +749,13 @@ impl SystemBuilder {
                 for idx in 0..spec.n {
                     let mut cfg = ReplicaConfig::new(gid, idx, topo.clone(), self.seed);
                     cfg.cost = self.cost;
-                    cfg.view_timeout = self.view_timeout;
-                    cfg.retry_interval = self.retry_interval;
                     cfg.max_batch_size = self.max_batch_size;
-                    cfg.batch_delay = self.batch_delay;
                     cfg.checkpoint_interval = self.checkpoint_interval;
-                    cfg.watermark_window = self.watermark_window;
                     cfg.page_size = self.page_size;
                     cfg.recovery_interval = self.recovery_window;
                     if let Some(r) = self.reply_retention {
                         cfg.reply_retention = r;
                     }
-                    cfg.speculative = self.speculative;
-                    cfg.read_only_quorum = self.read_only_quorum;
                     cfg.obs_phases = self.trace.spans_enabled();
                     cfg.audit = audit.is_some();
                     cfg.fault = spec.faults.get(&(shard, idx)).copied().unwrap_or_default();
@@ -854,7 +777,7 @@ impl SystemBuilder {
                         service,
                         &hosted_name,
                         uris.clone(),
-                        self.ws_cost,
+                        WsCostModel::DEFAULT,
                     ));
                     let node = sim.add_node(Box::new(PerpetualReplica::new(cfg, executor)));
                     debug_assert_eq!(node, topo.node(gid, idx));
@@ -863,8 +786,7 @@ impl SystemBuilder {
         }
         for spec in self.clients {
             let gid = groups_by_name[&spec.name];
-            let mut core = ClientCore::new(gid, topo.clone(), self.seed, self.cost);
-            core.set_read_only_quorum(self.read_only_quorum);
+            let core = ClientCore::new(gid, topo.clone(), self.seed, self.cost);
             let node_box: Box<dyn Node> = match spec.kind {
                 ClientKind::Scripted {
                     target,
@@ -896,7 +818,7 @@ impl SystemBuilder {
                         shard_metric_keys: HashMap::new(),
                         target_uri,
                         engine: Engine::with_id_prefix(spec.name.clone()),
-                        ws_cost: self.ws_cost,
+                        ws_cost: WsCostModel::DEFAULT,
                         total,
                         window,
                         op,
@@ -919,13 +841,12 @@ impl SystemBuilder {
             debug_assert_eq!(node, topo.node(gid, 0));
         }
         let controller = controller_gid.map(|gid| {
-            let mut core = ClientCore::new(gid, topo.clone(), self.seed, self.cost);
-            core.set_read_only_quorum(self.read_only_quorum);
+            let core = ClientCore::new(gid, topo.clone(), self.seed, self.cost);
             let node = sim.add_node(Box::new(ReshardController {
                 core,
                 uris: uris.clone(),
                 engine: Engine::with_id_prefix(RESHARD_CONTROLLER.to_owned()),
-                ws_cost: self.ws_cost,
+                ws_cost: WsCostModel::DEFAULT,
                 jobs: BTreeMap::new(),
                 calls: BTreeMap::new(),
                 retry_timer: None,

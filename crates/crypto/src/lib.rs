@@ -16,9 +16,9 @@
 //! * [`auth`] — PBFT-style *authenticators*: a vector of MACs, one per
 //!   receiving replica, plus reply-bundle share verification used by
 //!   Perpetual stage 6.
-//! * [`sig`] — a **cost-model** digital-signature stand-in used only by the
-//!   baseline comparisons (SWS/BFT-WS sign replies); see module docs for
-//!   the substitution rationale.
+//! * [`sig`] — the **cost-model** constants of the digital-signature
+//!   baselines (SWS/BFT-WS sign replies); see module docs for the
+//!   substitution rationale.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for how this crate
 //! slots into the full Perpetual-WS stack.
@@ -50,4 +50,3 @@ pub use auth::{Authenticator, BundleShare};
 pub use keys::{KeyTable, Principal};
 pub use mac::{Mac, MacKey};
 pub use sha256::{sha256, Digest32};
-pub use sig::{SigKeypair, Signature};

@@ -1,22 +1,14 @@
-//! A cost-model digital-signature stand-in.
+//! Cost constants of the digital-signature baselines.
 //!
-//! **Substitution note (see DESIGN.md):** the paper's baselines (SWS and
-//! BFT-WS) authenticate messages with RSA digital signatures, and the
-//! paper's §3 argues MACs are *three orders of magnitude* cheaper — the
-//! basis for Perpetual-WS's scalability claim. Implementing production RSA
-//! from scratch is out of scope and irrelevant to the protocol logic, so
-//! this module provides a scheme with the *interface* of a signature
-//! (anyone holding the public handle can verify) and explicit **cost
-//! constants** used by the simulation's CPU model. The default costs are
-//! calibrated to the paper's claim: signing ≈ 1000× a MAC computation.
-//!
-//! Internally a "signature" is an HMAC under the keypair's secret; a
-//! verifier re-computes it through the public handle. This is *not*
-//! cryptographically a signature (the handle embeds the secret) — it is a
-//! simulation artifact, clearly documented, never used for real security.
-
-use crate::hmac::hmac_sha256;
-use std::fmt;
+//! The paper's baselines (SWS and BFT-WS) authenticate messages with RSA
+//! digital signatures, and the paper's §3 argues MACs are *three orders
+//! of magnitude* cheaper — the basis for Perpetual-WS's scalability
+//! claim. Implementing production RSA from scratch is out of scope and
+//! irrelevant to the protocol logic, so the signature baseline exists
+//! only as explicit **cost constants** for the simulation's CPU model
+//! (the `ablation_crypto` bench adds them to every send and receive).
+//! The default costs are calibrated to the paper's claim: signing ≈ 1000×
+//! a MAC computation.
 
 /// Simulated CPU cost of producing a signature, in microseconds.
 /// ≈ 1000 × [`MAC_COMPUTE_COST_US`], per the paper's three-orders claim.
@@ -28,111 +20,14 @@ pub const VERIFY_COST_US: u64 = 100;
 /// Simulated CPU cost of computing one MAC, in microseconds.
 pub const MAC_COMPUTE_COST_US: u64 = 2;
 
-/// A signature tag.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Signature([u8; 32]);
-
-impl Signature {
-    /// Raw tag bytes.
-    pub const fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
-    }
-
-    /// Rebuilds a signature from wire bytes.
-    pub const fn from_bytes(bytes: [u8; 32]) -> Self {
-        Signature(bytes)
-    }
-}
-
-impl fmt::Debug for Signature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Signature({})",
-            self.0[..6]
-                .iter()
-                .map(|b| format!("{b:02x}"))
-                .collect::<String>()
-        )
-    }
-}
-
-/// A signing keypair (simulation stand-in; see module docs).
-#[derive(Clone)]
-pub struct SigKeypair {
-    secret: [u8; 32],
-    signer_id: u64,
-}
-
-impl SigKeypair {
-    /// Derives a keypair for `signer_id` from the deployment master seed.
-    pub fn derive(master_seed: u64, signer_id: u64) -> Self {
-        let mut label = Vec::with_capacity(12);
-        label.extend_from_slice(b"sig:");
-        label.extend_from_slice(&signer_id.to_be_bytes());
-        SigKeypair {
-            secret: hmac_sha256(&master_seed.to_be_bytes(), &label),
-            signer_id,
-        }
-    }
-
-    /// The signer's id (the "public key" lookup handle).
-    pub fn signer_id(&self) -> u64 {
-        self.signer_id
-    }
-
-    /// Signs `msg`.
-    pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature(hmac_sha256(&self.secret, msg))
-    }
-
-    /// Verifies `sig` over `msg`. In a real deployment this would use the
-    /// public key; here the handle embeds the secret (simulation only).
-    pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        self.sign(msg) == *sig
-    }
-}
-
-impl fmt::Debug for SigKeypair {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SigKeypair(signer={})", self.signer_id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sign_verify_roundtrip() {
-        let kp = SigKeypair::derive(3, 17);
-        let sig = kp.sign(b"payload");
-        assert!(kp.verify(b"payload", &sig));
-        assert!(!kp.verify(b"payloae", &sig));
-        assert_eq!(kp.signer_id(), 17);
-    }
-
-    #[test]
-    fn distinct_signers_distinct_sigs() {
-        let a = SigKeypair::derive(3, 1);
-        let b = SigKeypair::derive(3, 2);
-        assert_ne!(a.sign(b"m"), b.sign(b"m"));
-        assert!(!b.verify(b"m", &a.sign(b"m")));
-    }
 
     #[test]
     fn cost_model_matches_paper_claim() {
         // "MAC calculations are three orders of magnitude faster than
         // digital signature calculations" (§3).
         assert_eq!(SIGN_COST_US / MAC_COMPUTE_COST_US, 1000);
-    }
-
-    #[test]
-    fn signature_wire_roundtrip() {
-        let kp = SigKeypair::derive(1, 1);
-        let sig = kp.sign(b"x");
-        assert_eq!(Signature::from_bytes(*sig.as_bytes()), sig);
-        assert!(format!("{sig:?}").starts_with("Signature("));
-        assert_eq!(format!("{kp:?}"), "SigKeypair(signer=1)");
     }
 }

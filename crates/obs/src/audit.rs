@@ -75,7 +75,7 @@ pub enum AuditEvent {
         commit: bool,
         coordinator: bool,
     },
-    /// The node discarded execution state (wipe, speculative rollback):
+    /// The node discarded execution state (wipe, state install):
     /// its exactly-once tracking starts a new incarnation.
     NodeReset,
     /// The recorder saw a request-span phase recorded out of lifecycle

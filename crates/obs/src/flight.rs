@@ -48,8 +48,6 @@ pub enum FlightKind {
     ProactiveRestart,
     /// A read-only fast-path request was refused by the gate.
     RoRefused,
-    /// A speculative batch was rolled back (`a` = first seq discarded).
-    SpecRolledBack,
     /// A cross-shard transaction record was ordered (`a` = txn id).
     TxnRecord,
     /// A reshard record was ordered (`a` = shard, `b` = new shard count).
@@ -73,7 +71,6 @@ impl FlightKind {
             FlightKind::Wiped => "wiped",
             FlightKind::ProactiveRestart => "proactive-restart",
             FlightKind::RoRefused => "ro-refused",
-            FlightKind::SpecRolledBack => "spec-rolled-back",
             FlightKind::TxnRecord => "txn-record",
             FlightKind::ReshardRecord => "reshard-record",
             FlightKind::NodePanic => "node-panic",
@@ -94,7 +91,6 @@ impl FlightKind {
             FlightKind::Wiped => (Some("cold"), None),
             FlightKind::ProactiveRestart => (None, None),
             FlightKind::RoRefused => (None, None),
-            FlightKind::SpecRolledBack => (Some("from_seq"), None),
             FlightKind::TxnRecord => (Some("txn"), None),
             FlightKind::ReshardRecord => (Some("shard"), Some("new_count")),
             FlightKind::NodePanic => (None, None),

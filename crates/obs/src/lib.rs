@@ -8,9 +8,9 @@
 //! * [`Phase`] / [`SpanKey`] / [`Recorder`] — request-lifecycle spans:
 //!   every ordered request is tracked through
 //!   `queued → batched → pre-prepared → prepared → committed → executed →
-//!   replied` (plus the `spec-executed` / `rolled-back` / `ro-served`
-//!   fast-path phases), each phase stamped with sim-time at first sighting,
-//!   so per-phase latency breakdowns fall out as deltas.
+//!   replied` (plus the `ro-served` fast-path phase), each phase stamped
+//!   with sim-time at first sighting, so per-phase latency breakdowns fall
+//!   out as deltas.
 //! * [`Histogram`] — fixed-bucket log-scale latency histograms with a
 //!   deterministic bucket layout: identical samples in any insertion order
 //!   produce identical percentile reads.
@@ -108,25 +108,20 @@ pub enum Phase {
     Batched = 1,
     /// Accepted a pre-prepare for the slot holding it.
     PrePrepared = 2,
-    /// Executed speculatively at pre-prepare time (Zyzzyva-style).
-    SpecExecuted = 3,
     /// Prepared certificate reached.
-    Prepared = 4,
+    Prepared = 3,
     /// Commit certificate reached.
-    Committed = 5,
-    /// Executed against committed application state (or speculation
-    /// finalized).
-    Executed = 6,
-    /// A speculative execution of it was rolled back.
-    RolledBack = 7,
+    Committed = 4,
+    /// Executed against committed application state.
+    Executed = 5,
     /// A reply was produced for the caller.
-    Replied = 8,
+    Replied = 6,
     /// Served on the read-only fast path (never ordered).
-    RoServed = 9,
+    RoServed = 7,
 }
 
 /// Number of distinct [`Phase`] values.
-pub const PHASE_COUNT: usize = 10;
+pub const PHASE_COUNT: usize = 8;
 
 impl Phase {
     /// All phases in lifecycle order.
@@ -134,11 +129,9 @@ impl Phase {
         Phase::Queued,
         Phase::Batched,
         Phase::PrePrepared,
-        Phase::SpecExecuted,
         Phase::Prepared,
         Phase::Committed,
         Phase::Executed,
-        Phase::RolledBack,
         Phase::Replied,
         Phase::RoServed,
     ];
@@ -155,11 +148,9 @@ impl Phase {
             Phase::Queued => "queued",
             Phase::Batched => "batched",
             Phase::PrePrepared => "pre-prepared",
-            Phase::SpecExecuted => "spec-executed",
             Phase::Prepared => "prepared",
             Phase::Committed => "committed",
             Phase::Executed => "executed",
-            Phase::RolledBack => "rolled-back",
             Phase::Replied => "replied",
             Phase::RoServed => "ro-served",
         }
@@ -172,11 +163,9 @@ impl Phase {
             Phase::Queued => "obs.phase.queued_ms",
             Phase::Batched => "obs.phase.batched_ms",
             Phase::PrePrepared => "obs.phase.pre_prepared_ms",
-            Phase::SpecExecuted => "obs.phase.spec_executed_ms",
             Phase::Prepared => "obs.phase.prepared_ms",
             Phase::Committed => "obs.phase.committed_ms",
             Phase::Executed => "obs.phase.executed_ms",
-            Phase::RolledBack => "obs.phase.rolled_back_ms",
             Phase::Replied => "obs.phase.replied_ms",
             Phase::RoServed => "obs.phase.ro_served_ms",
         }
@@ -227,6 +216,5 @@ mod tests {
         assert!(Phase::Replied.is_terminal());
         assert!(Phase::RoServed.is_terminal());
         assert!(!Phase::Executed.is_terminal());
-        assert!(!Phase::RolledBack.is_terminal());
     }
 }

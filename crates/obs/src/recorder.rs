@@ -101,13 +101,13 @@ pub struct PhaseDeltas {
     /// ordered path. The auditor turns this into a violation; honest runs
     /// never set it (first-seen semantics make the earliest sighting win).
     /// Only the ordered-path phases (queued → … → replied) participate;
-    /// the speculative/read-only phases interleave legally.
+    /// the read-only phase interleaves legally.
     pub regressed: bool,
 }
 
 /// The ordered-path phases whose first-seen times must be monotone. The
-/// speculative and read-only phases (`SpecExecuted`, `RolledBack`,
-/// `RoServed`) interleave with the ordered path legally and are excluded.
+/// read-only phase (`RoServed`) interleaves with the ordered path legally
+/// and is excluded.
 const ORDERED_PATH: [Phase; 7] = [
     Phase::Queued,
     Phase::Batched,
@@ -702,8 +702,6 @@ mod tests {
         assert!(!r.phase(key(4), Phase::Prepared, 5000, 0).regressed);
         // Committed first seen *before* prepared's first sighting: broken.
         assert!(r.phase(key(4), Phase::Committed, 4000, 1).regressed);
-        // Spec-executed interleaves legally wherever it lands.
-        assert!(!r.phase(key(4), Phase::SpecExecuted, 100, 0).regressed);
     }
 
     #[test]

@@ -69,9 +69,6 @@ pub struct ClientCore {
     pending: HashMap<u64, Pending>,
     /// Read-reply tallies for outstanding fast-path reads.
     read_tallies: HashMap<u64, ReadTally>,
-    /// Override for the read-only reply quorum (default `2f_t + 1`, capped
-    /// at `n_t`).
-    read_only_quorum: Option<usize>,
 }
 
 impl ClientCore {
@@ -91,13 +88,7 @@ impl ClientCore {
             next_target_seq: HashMap::new(),
             pending: HashMap::new(),
             read_tallies: HashMap::new(),
-            read_only_quorum: None,
         }
-    }
-
-    /// Overrides the read-only reply quorum (default `2f_t + 1`).
-    pub fn set_read_only_quorum(&mut self, quorum: Option<usize>) {
-        self.read_only_quorum = quorum;
     }
 
     /// The client's group id.
@@ -361,9 +352,7 @@ impl ClientCore {
         let count = *count;
         let target_f = self.topology.f(target) as usize;
         let target_n = self.topology.n(target) as usize;
-        let threshold = self
-            .read_only_quorum
-            .unwrap_or((2 * target_f + 1).min(target_n));
+        let threshold = (2 * target_f + 1).min(target_n);
         if count < threshold {
             return None;
         }

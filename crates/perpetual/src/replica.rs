@@ -29,7 +29,7 @@ use crate::messages::{decode_pmsg, encode_pmsg, reply_digest, request_tag, PMsg}
 use bytes::Bytes;
 use pws_clbft::{
     wire as bft_wire, Action, Config, ExecutedSet, Msg, ObsEvent, Replica as BftReplica, ReplicaId,
-    RequestId as BftRequestId, Seq, TimerCmd,
+    RequestId as BftRequestId, TimerCmd,
 };
 use pws_crypto::auth::{verify_bundle, BundleShare};
 use pws_crypto::keys::KeyTable;
@@ -38,7 +38,7 @@ use pws_simnet::metrics::BatchKeys;
 use pws_simnet::{
     AuditEvent, Context, FlightKind, Node, NodeId, Phase, ProtoKey, SimDuration, TimerId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Default for [`ReplicaConfig::reply_retention`]: how many produced
@@ -136,15 +136,6 @@ pub struct ReplicaConfig {
     /// retransmits (see [`DEFAULT_REPLY_RETENTION`] for the caller-side
     /// contract).
     pub reply_retention: usize,
-    /// Speculative execution: the voter emits
-    /// [`Action::SpeculativeExecute`] at pre-prepare time and the driver
-    /// executes against a rollback-able copy of state, overlapping
-    /// application work with the prepare/commit rounds.
-    pub speculative: bool,
-    /// Override for the read-only reply quorum. `None` uses the safe
-    /// default `2f_t + 1` (capped at `n_t`); experiments may lower it to
-    /// probe the latency/consistency trade-off.
-    pub read_only_quorum: Option<usize>,
     /// Collect per-request lifecycle phase events from the voter (see
     /// [`pws_clbft::Config::obs_phases`]). Set by the harness when tracing
     /// is enabled; off by default. Purely observational.
@@ -177,8 +168,6 @@ impl ReplicaConfig {
             page_size: pws_clbft::DEFAULT_PAGE_SIZE,
             recovery_interval: None,
             reply_retention: DEFAULT_REPLY_RETENTION,
-            speculative: false,
-            read_only_quorum: None,
             obs_phases: false,
             audit: false,
             fault: FaultMode::Correct,
@@ -193,7 +182,6 @@ impl ReplicaConfig {
         bft_cfg.checkpoint_interval = self.checkpoint_interval.max(1);
         bft_cfg.watermark_window = self.watermark_window.max(1);
         bft_cfg.page_size = self.page_size.max(1);
-        bft_cfg.speculative = self.speculative;
         bft_cfg.obs_phases = self.obs_phases;
         bft_cfg.audit = self.audit;
         bft_cfg
@@ -224,7 +212,7 @@ struct CallState {
     payload: Bytes,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct ResponderEntry {
     /// payload + shares per digest (dedup by share origin).
     by_digest: HashMap<Digest32, (Bytes, Vec<BundleShare>)>,
@@ -239,54 +227,6 @@ struct ResponderEntry {
 struct RoCollector {
     voted: HashSet<u32>,
     by_digest: HashMap<Digest32, (Bytes, Vec<BundleShare>)>,
-}
-
-/// Side effects buffered while executing a batch speculatively: everything
-/// irreversible (network sends, timer arming, voter interactions) waits in
-/// here until commit finalizes the slot; a rollback just drops the buffers.
-#[derive(Debug, Default)]
-struct SpecBuffers {
-    /// Outbound non-voter messages `(node, encoded frame, extra MACs)`;
-    /// send cost is charged when the flush actually transmits.
-    sends: Vec<(NodeId, Bytes, usize)>,
-    /// Deferred driver operations, replayed in order at finalize.
-    deferred: Vec<DeferredOp>,
-    /// Application-layer observability emissions (txn/reshard spans, audit
-    /// observations, gauges). Stamped at finalize so a rolled-back
-    /// speculation leaves no phantom spans or audit sightings.
-    obs: Vec<AppObs>,
-}
-
-#[derive(Debug)]
-enum DeferredOp {
-    /// Arm the abort/retry timers for a call issued during speculation.
-    ArmCallTimers {
-        call_no: u64,
-        timeout: Option<SimDuration>,
-    },
-    /// Complete a call resolution: cancel timers, withdraw obsolete
-    /// proposals from the voter, re-drain the gate. The reversible half
-    /// (the `done` flag) was already set speculatively.
-    Resolve { call_no: u64 },
-    /// Submit the time vote for a query issued during speculation (the
-    /// clock is read at finalize, when the vote actually enters agreement).
-    SubmitTime { token: u64 },
-}
-
-/// One speculatively executed slot awaiting commit.
-#[derive(Debug)]
-struct SpecEntry {
-    seq: Seq,
-    /// Request ids the speculation covered, to match against the eventual
-    /// [`Action::Execute`].
-    ids: Vec<BftRequestId>,
-    /// Full driver+executor snapshot taken before executing, restored on
-    /// rollback.
-    pre_state: Bytes,
-    /// Responder bookkeeping is not snapshot-covered (it is transient
-    /// pre-agreement state), so it is saved aside explicitly.
-    responder_saved: HashMap<(GroupId, u64), ResponderEntry>,
-    bufs: SpecBuffers,
 }
 
 /// The group-agreed seed delivered in [`AppEvent::Init`].
@@ -343,12 +283,6 @@ pub struct PerpetualReplica {
     /// not snapshot-covered (a recovering replica simply re-collects from
     /// retransmits).
     ro_replies: HashMap<u64, RoCollector>,
-    // ----- speculation -----
-    /// Speculatively executed slots, oldest first, awaiting commit.
-    spec_queue: VecDeque<SpecEntry>,
-    /// `Some` while a batch is executing speculatively: side effects are
-    /// routed into these buffers instead of happening.
-    spec_building: Option<SpecBuffers>,
     // ----- responder duty -----
     responder_state: HashMap<(GroupId, u64), ResponderEntry>,
     // ----- timers -----
@@ -414,8 +348,6 @@ impl PerpetualReplica {
             submitted_results: HashMap::new(),
             resolved_tokens: HashSet::new(),
             ro_replies: HashMap::new(),
-            spec_queue: VecDeque::new(),
-            spec_building: None,
             responder_state: HashMap::new(),
             view_timer: None,
             batch_timer: None,
@@ -486,19 +418,6 @@ impl PerpetualReplica {
         self.executor.snapshot()
     }
 
-    /// Diagnostic snapshot: (view, last_exec, bft outstanding, gated
-    /// proposals, validated digests, delivered externals). For tests.
-    pub fn debug_state(&self) -> (u64, u64, usize, usize, usize, usize) {
-        (
-            self.bft.view().0,
-            self.bft.last_executed().0,
-            self.bft.outstanding(),
-            self.gated.len(),
-            self.validated.len(),
-            self.delivered_external.id_count() as usize,
-        )
-    }
-
     fn my_node(&self) -> NodeId {
         self.cfg.topology.node(self.cfg.group, self.cfg.index)
     }
@@ -520,11 +439,6 @@ impl PerpetualReplica {
             return;
         }
         let bytes = encode_pmsg(msg);
-        if let Some(bufs) = self.spec_building.as_mut() {
-            // Speculating: nothing leaves the node until the slot commits.
-            bufs.sends.push((to, bytes, extra_macs));
-            return;
-        }
         ctx.spend(self.cfg.cost.send_cost(bytes.len(), extra_macs));
         ctx.metrics().incr("perpetual.messages_sent");
         ctx.send(to, bytes);
@@ -631,13 +545,9 @@ impl PerpetualReplica {
                     }
                     self.broadcast_bft(&msg, ctx);
                 }
-                Action::Execute { seq, batch } => self.handle_execute(seq, batch, ctx),
+                Action::Execute { batch, .. } => self.handle_ordered_batch(batch, ctx),
                 Action::TakeCheckpoint(seq) => self.take_checkpoint(seq, ctx),
                 Action::InstallState { snapshot, .. } => {
-                    // The transferred state supersedes anything speculated
-                    // locally; drop the buffers (the install overwrites the
-                    // state they would have rolled back).
-                    self.discard_speculation(ctx);
                     ctx.metrics().incr("clbft.recovery.installs");
                     ctx.spend(self.cfg.cost.snapshot_cost(snapshot.len()));
                     self.restore_snapshot(&snapshot, ctx);
@@ -646,10 +556,6 @@ impl PerpetualReplica {
                     // Reads are served inline by `handle_read_request`; an
                     // action surfacing here has no reply address, so drop.
                 }
-                Action::SpeculativeExecute { seq, batch } => {
-                    self.speculative_execute(seq, batch, ctx);
-                }
-                Action::RollbackSpeculation { .. } => self.rollback_speculation(ctx),
                 Action::Stable(_) => {
                     ctx.metrics().incr("perpetual.checkpoints_stable");
                     ctx.metrics().incr("clbft.ckpt.stable");
@@ -773,164 +679,6 @@ impl PerpetualReplica {
         ctx.gauge(&format!("ts.batch_occupancy.{g}"), batch_len as f64);
     }
 
-    // ----------------------------------------------------------- speculation
-
-    /// A slot committed. If its batch is exactly the oldest outstanding
-    /// speculation, the work is already done — release the buffered side
-    /// effects instead of re-executing. Any mismatch (a slot that was never
-    /// speculated, or state transfer racing past the queue) voids the whole
-    /// speculative suffix first, then executes the committed batch for real.
-    fn handle_execute(&mut self, seq: Seq, batch: Vec<pws_clbft::Request>, ctx: &mut Context<'_>) {
-        let matches = self.spec_queue.front().is_some_and(|e| {
-            e.seq == seq
-                && e.ids.len() == batch.len()
-                && e.ids.iter().zip(&batch).all(|(id, r)| *id == r.id)
-        });
-        if matches {
-            self.finalize_speculation(batch.len(), ctx);
-            return;
-        }
-        if !self.spec_queue.is_empty() {
-            self.rollback_speculation(ctx);
-        }
-        self.handle_ordered_batch(batch, ctx);
-    }
-
-    /// Executes a pre-prepared batch against the live executor while every
-    /// irreversible side effect (sends, timers, voter interactions) is
-    /// parked in [`SpecBuffers`]. The driver+executor snapshot taken first
-    /// makes the whole thing undoable; commit later flushes the buffers via
-    /// [`Self::finalize_speculation`] without re-executing.
-    fn speculative_execute(
-        &mut self,
-        seq: Seq,
-        batch: Vec<pws_clbft::Request>,
-        ctx: &mut Context<'_>,
-    ) {
-        let pre_state = self.build_snapshot();
-        let responder_saved = self.responder_state.clone();
-        let ids: Vec<BftRequestId> = batch.iter().map(|r| r.id).collect();
-        // The execution work is real and happens now — that is the point of
-        // speculating — so its CPU cost is charged now, not at finalize.
-        ctx.spend(self.cfg.cost.batch_cost(batch.len()));
-        self.spec_building = Some(SpecBuffers::default());
-        for request in batch {
-            self.handle_ordered(request.payload, ctx);
-        }
-        let bufs = self.spec_building.take().expect("speculation mode held");
-        for id in &ids {
-            if crate::event::is_traced_origin(id.origin) {
-                ctx.obs_phase(self.cfg.group.0, id.origin, id.counter, Phase::SpecExecuted);
-            }
-        }
-        self.spec_queue.push_back(SpecEntry {
-            seq,
-            ids,
-            pre_state,
-            responder_saved,
-            bufs,
-        });
-        ctx.metrics().incr("clbft.spec.executed");
-    }
-
-    /// Commit caught up with the oldest speculation: flush its buffered
-    /// sends (charging their send cost now) and replay the deferred driver
-    /// operations. The executor is already in the post-batch state.
-    fn finalize_speculation(&mut self, batch_len: usize, ctx: &mut Context<'_>) {
-        let entry = self.spec_queue.pop_front().expect("matched entry");
-        self.sample_gauges(batch_len, ctx);
-        ctx.metrics().record_batch_with(&self.exec_keys, batch_len);
-        ctx.metrics()
-            .record_batch_with(&self.exec_group_keys, batch_len);
-        for (to, bytes, extra_macs) in entry.bufs.sends {
-            ctx.spend(self.cfg.cost.send_cost(bytes.len(), extra_macs));
-            ctx.metrics().incr("perpetual.messages_sent");
-            ctx.send(to, bytes);
-        }
-        // Flush the deferred observability emissions before the deferred
-        // driver ops (which may advance time via `spend`): span phases get
-        // commit-time stamps, audit sightings enter in agreement order.
-        self.apply_app_obs(entry.bufs.obs, ctx);
-        for op in entry.bufs.deferred {
-            match op {
-                DeferredOp::ArmCallTimers { call_no, timeout } => {
-                    // Skip calls that resolved in the meantime (later in the
-                    // same batch, or in a later still-queued speculation).
-                    if self.calls.get(&call_no).is_some_and(|c| !c.done) {
-                        self.arm_call_timers(call_no, timeout, ctx);
-                    }
-                }
-                DeferredOp::Resolve { call_no } => self.resolve_call(call_no, ctx),
-                DeferredOp::SubmitTime { token } => {
-                    let millis = ctx.now().as_millis() + self.cfg.epoch_offset_ms;
-                    let ev = Event::TimeVote { token, millis };
-                    let actions = self.bft.on_request(ev.to_request());
-                    self.process_actions(actions, ctx);
-                }
-            }
-        }
-        ctx.metrics().incr("clbft.spec.finalized");
-    }
-
-    /// A view change (or mismatched commit) voided the speculative suffix:
-    /// restore the driver+executor snapshot taken before the *oldest*
-    /// speculated slot, put the responder bookkeeping back, and drop every
-    /// buffered side effect — nothing speculative ever left this node.
-    fn rollback_speculation(&mut self, ctx: &mut Context<'_>) {
-        let Some(front) = self.spec_queue.front() else {
-            return;
-        };
-        let pre_state = front.pre_state.clone();
-        let responder_saved = front.responder_saved.clone();
-        let from_seq = front.seq.0;
-        let voided = self.spec_queue.len();
-        let voided_ids = self.take_voided_span_ids(ctx);
-        self.spec_queue.clear();
-        ctx.obs_flight(FlightKind::SpecRolledBack, from_seq, 0);
-        for (origin, counter) in voided_ids {
-            ctx.obs_phase(self.cfg.group.0, origin, counter, Phase::RolledBack);
-        }
-        // `restore_snapshot` also re-arms retry timers for restored
-        // unresolved calls, healing any timer a speculative resolution
-        // would have raced.
-        self.restore_snapshot(&pre_state, ctx);
-        self.responder_state = responder_saved;
-        for _ in 0..voided {
-            ctx.metrics().incr("clbft.spec.rolled_back");
-        }
-    }
-
-    /// Drops the speculative queue without restoring state, for paths that
-    /// overwrite the state wholesale right after (state install, wipe).
-    fn discard_speculation(&mut self, ctx: &mut Context<'_>) {
-        if let Some(front) = self.spec_queue.front() {
-            ctx.obs_flight(FlightKind::SpecRolledBack, front.seq.0, 0);
-        }
-        for _ in 0..self.spec_queue.len() {
-            ctx.metrics().incr("clbft.spec.rolled_back");
-        }
-        let voided_ids = self.take_voided_span_ids(ctx);
-        self.spec_queue.clear();
-        for (origin, counter) in voided_ids {
-            ctx.obs_phase(self.cfg.group.0, origin, counter, Phase::RolledBack);
-        }
-    }
-
-    /// The traced span keys of every request in the speculative queue, for
-    /// stamping [`Phase::RolledBack`] after the queue is voided. Empty
-    /// (allocation-free) while tracing is off.
-    fn take_voided_span_ids(&self, ctx: &Context<'_>) -> Vec<(u64, u64)> {
-        if !ctx.trace_level().spans_enabled() {
-            return Vec::new();
-        }
-        self.spec_queue
-            .iter()
-            .flat_map(|e| e.ids.iter())
-            .filter(|id| crate::event::is_traced_origin(id.origin))
-            .map(|id| (id.origin, id.counter))
-            .collect()
-    }
-
     // ------------------------------------------- checkpointing & recovery
 
     /// Answers the voter's [`Action::TakeCheckpoint`]: serialize the
@@ -1002,8 +750,7 @@ impl PerpetualReplica {
     /// (candidates, the validation gate, pending shares) is left alone —
     /// it re-derives from retransmissions.
     fn restore_snapshot(&mut self, snapshot: &Bytes, ctx: &mut Context<'_>) {
-        // Restoring rewinds `delivered_external` (speculation rollback) or
-        // replaces it wholesale (state install): either way this node's
+        // Restoring replaces `delivered_external` wholesale: this node's
         // exactly-once ledger starts a fresh incarnation at the auditor.
         ctx.obs_audit(self.cfg.group.0, AuditEvent::NodeReset);
         let snap = match crate::snapshot::DriverSnapshot::decode(snapshot) {
@@ -1083,8 +830,6 @@ impl PerpetualReplica {
         // The auditor's exactly-once ledger is per node *incarnation*: a
         // wiped replica legitimately re-executes history during recovery.
         ctx.obs_audit(self.cfg.group.0, AuditEvent::NodeReset);
-        self.discard_speculation(ctx);
-        self.spec_building = None;
         self.ro_replies.clear();
         let warm_pages = if cold {
             Vec::new()
@@ -1384,9 +1129,9 @@ impl PerpetualReplica {
 
     /// A caller replica asks us to answer a read from committed state. The
     /// voter's read gate decides admissibility (not in a view change, not
-    /// mid-state-transfer, no speculation ahead of the committed frontier);
-    /// a closed gate drops the request silently and the caller's quorum
-    /// falls short until it retries or falls back to the ordered path.
+    /// mid-state-transfer); a closed gate drops the request silently and
+    /// the caller's quorum falls short until it retries or falls back to
+    /// the ordered path.
     fn handle_read_request(
         &mut self,
         from: NodeId,
@@ -1430,14 +1175,6 @@ impl PerpetualReplica {
         let Some((caller, req_no)) = crate::event::read_request_parts(req.id) else {
             return;
         };
-        if !self.spec_queue.is_empty() {
-            // Defense in depth: the voter's gate already refuses reads
-            // while speculation is outstanding, but the executor holding
-            // uncommitted state is disqualifying on its own.
-            ctx.metrics().incr("clbft.ro.unservable");
-            ctx.obs_flight(FlightKind::RoRefused, 0, 0);
-            return;
-        }
         let rid = req.id;
         let scratch = self.executor.snapshot();
         let handle = RequestHandle { caller, req_no };
@@ -1555,10 +1292,7 @@ impl PerpetualReplica {
         shares.push(share);
         let target_f = self.cfg.topology.f(target) as usize;
         let target_n = self.cfg.topology.n(target) as usize;
-        let threshold = self
-            .cfg
-            .read_only_quorum
-            .unwrap_or((2 * target_f + 1).min(target_n));
+        let threshold = (2 * target_f + 1).min(target_n);
         if shares.len() < threshold {
             return;
         }
@@ -1614,7 +1348,7 @@ impl PerpetualReplica {
         shares.push(share.clone());
         // Wait for 2f+1 matching shares so at least f+1 come from correct
         // replicas: then every correct calling driver can validate the
-        // bundle even if f shares carry bad MACs (see DESIGN.md).
+        // bundle even if f shares carry bad MACs.
         let threshold = (2 * self.f + 1).min(self.n) as usize;
         if shares.len() >= threshold {
             let bundle_payload = stored_payload.clone();
@@ -1808,9 +1542,7 @@ impl PerpetualReplica {
 
     /// Marks a call resolved (first resolution wins). Cancels its timers and
     /// withdraws now-obsolete proposals from agreement. Returns whether this
-    /// was the first resolution. Under speculation only the reversible half
-    /// (the `done` flag, which the pre-state snapshot covers) happens now;
-    /// the voter- and timer-touching half waits in the commit buffers.
+    /// was the first resolution.
     fn mark_call_done(&mut self, call_no: u64, ctx: &mut Context<'_>) -> bool {
         let Some(call) = self.calls.get_mut(&call_no) else {
             return false;
@@ -1819,16 +1551,6 @@ impl PerpetualReplica {
             return false;
         }
         call.done = true;
-        if let Some(bufs) = self.spec_building.as_mut() {
-            bufs.deferred.push(DeferredOp::Resolve { call_no });
-            return true;
-        }
-        self.resolve_call(call_no, ctx);
-        true
-    }
-
-    /// The irreversible half of a call resolution.
-    fn resolve_call(&mut self, call_no: u64, ctx: &mut Context<'_>) {
         self.cancel_call_timer(call_no, ctx);
         self.ro_replies.remove(&call_no);
         let mut obsolete = self.submitted_results.remove(&call_no).unwrap_or_default();
@@ -1840,22 +1562,16 @@ impl PerpetualReplica {
         // The gate may be holding proposals that are now releasable
         // (aborts gate-open once the call is done).
         self.drain_gate(ctx);
+        true
     }
 
-    /// Arms the abort-timeout and retry timers for a freshly issued call —
-    /// or defers the arming to commit time when speculating (a rolled-back
-    /// call must leave no timer behind).
+    /// Arms the abort-timeout and retry timers for a freshly issued call.
     fn arm_call_timers(
         &mut self,
         call_no: u64,
         timeout: Option<SimDuration>,
         ctx: &mut Context<'_>,
     ) {
-        if let Some(bufs) = self.spec_building.as_mut() {
-            bufs.deferred
-                .push(DeferredOp::ArmCallTimers { call_no, timeout });
-            return;
-        }
         if let Some(d) = timeout {
             let t = ctx.set_timer(d);
             self.call_timers.insert(t, call_no);
@@ -1888,17 +1604,7 @@ impl PerpetualReplica {
         if reshard_step {
             ctx.obs_flight(FlightKind::ReshardRecord, 0, 0);
         }
-        let obs = out.take_obs();
-        if !obs.is_empty() {
-            // Under speculation the emissions wait in the commit buffers: a
-            // rolled-back slot must leave no phantom spans, gauge samples,
-            // or audit sightings behind.
-            if let Some(bufs) = self.spec_building.as_mut() {
-                bufs.obs.extend(obs);
-            } else {
-                self.apply_app_obs(obs, ctx);
-            }
-        }
+        self.apply_app_obs(out.take_obs(), ctx);
         let cmds = std::mem::take(&mut out.cmds);
         for cmd in cmds {
             self.run_cmd(cmd, ctx);
@@ -2057,13 +1763,6 @@ impl PerpetualReplica {
                 self.send_share(to.caller, to.req_no, responder, payload, ctx);
             }
             AppCmd::QueryTime { token } => {
-                if let Some(bufs) = self.spec_building.as_mut() {
-                    // The vote enters agreement at commit time, reading the
-                    // clock then — a rolled-back speculation must not have
-                    // submitted anything to the voter.
-                    bufs.deferred.push(DeferredOp::SubmitTime { token });
-                    return;
-                }
                 let millis = ctx.now().as_millis() + self.cfg.epoch_offset_ms;
                 let ev = Event::TimeVote { token, millis };
                 // Every replica proposes its own local reading; CLBFT's

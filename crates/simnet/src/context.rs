@@ -164,12 +164,6 @@ impl<'a> Context<'a> {
         }
     }
 
-    /// Whether the online protocol auditor is enabled (protocol layers
-    /// check this before assembling audit events).
-    pub fn audit_enabled(&self) -> bool {
-        self.state.audit.is_some()
-    }
-
     /// Feeds one protocol observation to the auditor (no-op when auditing
     /// is off). A violation bumps `obs.audit.violations`, captures a
     /// flight dump on first occurrence, and — in strict mode — panics,

@@ -45,9 +45,6 @@ pub struct TpcwConfig {
     /// Large values emulate an in-memory front tier where protocol
     /// overhead, not page rendering, dominates interaction latency.
     pub page_cost_scale: u32,
-    /// Execute batches speculatively at pre-prepare on every replicated
-    /// service.
-    pub speculative: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -67,7 +64,6 @@ impl Default for TpcwConfig {
             read_only: false,
             cross_shard_buys: false,
             page_cost_scale: 1,
-            speculative: false,
             seed: 2007,
         }
     }
@@ -97,7 +93,6 @@ pub struct TpcwResult {
 /// Runs the TPC-W benchmark once.
 pub fn run_tpcw(cfg: TpcwConfig) -> TpcwResult {
     let mut b = SystemBuilder::new(cfg.seed);
-    b.speculative(cfg.speculative);
     let shards = cfg.bookstore_shards.max(1);
     let n_store = cfg.n_bookstore.max(1);
     let page_scale = cfg.page_cost_scale.max(1);
@@ -188,7 +183,6 @@ mod tests {
             read_only: false,
             cross_shard_buys: false,
             page_cost_scale: 1,
-            speculative: false,
             seed: 7,
         }
     }
@@ -242,14 +236,6 @@ mod tests {
             r.ro_served > 0,
             "replicated store never served a fast-path read"
         );
-    }
-
-    #[test]
-    fn speculative_mix_still_completes() {
-        let mut cfg = small(4, false, 7);
-        cfg.speculative = true;
-        let r = run_tpcw(cfg);
-        assert!(r.interactions > 20, "got {}", r.interactions);
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn main() {
             bookstore_shards: 1,
             read_only: false,
             page_cost_scale: 1,
-            speculative: false,
             cross_shard_buys: false,
             seed: 2007,
         };

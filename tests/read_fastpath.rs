@@ -1,11 +1,11 @@
-//! End-to-end read-only fast-path and speculative-execution tests.
+//! End-to-end read-only fast-path tests.
 //!
 //! The acceptance bar (ISSUE 6): read-only requests are answered from
 //! committed state without consuming an agreement slot (`clbft.ro.served`
 //! grows while the target's executed sequence does not), clients accept a
-//! read only on `2f + 1` matching replies, reads never observe
-//! speculative or rolled-back state, and a recovering replica refuses the
-//! fast path until it has replayed the committed suffix.
+//! read only on `2f + 1` matching replies, reads never observe stale
+//! state, and a recovering replica refuses the fast path until it has
+//! replayed the committed suffix.
 
 use perpetual_ws::{GroupId, PassiveService, PassiveUtils, SystemBuilder};
 use pws_perpetual::{CallId, ClientCore, ClientEvent, FaultMode};
@@ -14,7 +14,7 @@ use pws_soap::engine::Engine;
 use pws_soap::{MessageContext, XmlNode};
 
 /// A counter with `add` (mutating) and `get` (pure read) operations — the
-/// minimal service whose reads can expose stale or speculative state.
+/// minimal service whose reads can expose stale state.
 struct Ctr {
     total: u64,
 }
@@ -267,52 +267,41 @@ fn pure_read_load_consumes_no_agreement_slots() {
 fn reads_observe_every_completed_write_exactly() {
     // Read-your-writes linearizability for a single caller: a read issued
     // after `k` writes completed must observe exactly `k` — never a stale
-    // value, never a speculative one. Checked with speculation off and on.
-    for speculative in [false, true] {
-        let rounds = 25u64;
-        let mut b = SystemBuilder::new(6_002);
-        b.speculative(speculative);
-        b.passive_service("ctr", 4, |_| Box::new(Ctr { total: 0 }));
-        add_rw_client(
-            &mut b,
-            "rw",
-            rounds,
-            2,
-            SimDuration::from_millis(100),
-            SimDuration::ZERO,
-        );
-        let mut sys = b.build();
-        sys.run_until(SimTime::from_secs(180));
+    // value.
+    let rounds = 25u64;
+    let mut b = SystemBuilder::new(6_002);
+    b.passive_service("ctr", 4, |_| Box::new(Ctr { total: 0 }));
+    add_rw_client(
+        &mut b,
+        "rw",
+        rounds,
+        2,
+        SimDuration::from_millis(100),
+        SimDuration::ZERO,
+    );
+    let mut sys = b.build();
+    sys.run_until(SimTime::from_secs(180));
 
-        let (done, read_values) = client_state(&mut sys, "rw");
-        assert_eq!(done, rounds, "speculative={speculative}: every round done");
-        for (i, &(writes, value)) in read_values.iter().enumerate() {
-            assert_eq!(
-                value, writes,
-                "speculative={speculative}: read {i} observed {value} after {writes} writes"
-            );
-        }
-        let m = sys.metrics();
-        assert!(m.counter("clbft.ro.served") > 0);
-        if speculative {
-            assert!(
-                m.counter("clbft.spec.executed") > 0,
-                "speculation must have engaged"
-            );
-            assert!(m.counter("clbft.spec.finalized") > 0);
-        }
+    let (done, read_values) = client_state(&mut sys, "rw");
+    assert_eq!(done, rounds, "every round done");
+    for (i, &(writes, value)) in read_values.iter().enumerate() {
+        assert_eq!(
+            value, writes,
+            "read {i} observed {value} after {writes} writes"
+        );
     }
+    let m = sys.metrics();
+    assert!(m.counter("clbft.ro.served") > 0);
 }
 
 #[test]
-fn speculation_survives_a_primary_crash_without_read_anomalies() {
-    // Crash the target primary mid-run with speculation on: the view
-    // change discards speculated slots on the survivors, yet every read
-    // still observes exactly the completed writes and the surviving
-    // replicas end digest-identical.
+fn reads_survive_a_primary_crash_without_anomalies() {
+    // Crash the target primary mid-run under a read/write mix: the view
+    // change closes the read gate on the survivors, yet every read still
+    // observes exactly the completed writes and the surviving replicas
+    // end digest-identical.
     let rounds = 15u64;
     let mut b = SystemBuilder::new(6_003);
-    b.speculative(true);
     b.passive_service("ctr", 4, |_| Box::new(Ctr { total: 0 }));
     add_rw_client(
         &mut b,
@@ -336,7 +325,6 @@ fn speculation_survives_a_primary_crash_without_read_anomalies() {
         assert_eq!(value, writes, "read {i} observed {value} after {writes}");
     }
     let m = sys.metrics();
-    assert!(m.counter("clbft.spec.executed") > 0, "speculation engaged");
     assert!(
         m.counter("perpetual.view_changes") > 0,
         "the crash forced a view change"

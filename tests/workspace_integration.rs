@@ -195,7 +195,6 @@ fn tpcw_more_rbes_more_wips() {
             bookstore_shards: 1,
             read_only: false,
             page_cost_scale: 1,
-            speculative: false,
             cross_shard_buys: false,
             seed: 11,
         })
