@@ -11,6 +11,17 @@
 //! messages and timers. This keeps the protocol purely deterministic and
 //! directly property-testable.
 //!
+//! Behind that one boundary sit two state machines. The agreement core
+//! (`replica.rs`) orders requests: batching, the three phases, the log
+//! and its watermarks, view changes. The checkpoint and state-transfer
+//! sub-machine (`checkpoint.rs`, crate-private) owns the stable
+//! checkpoint and everything that produces or fetches one; it holds no
+//! reference to the core and hands back what the core must apply — a
+//! newly stable sequence number, a checkpoint to install, suffix slots to
+//! replay, a view to adopt. Reads are not requests: a harness that wants
+//! to answer one from committed state asks [`Replica::can_serve_reads`]
+//! and never submits it.
+//!
 //! Implemented: the normal three-phase case (pre-prepare / prepare /
 //! commit), Castro–Liskov request **batching** with pipelined proposals
 //! (the primary seals queued requests into a [`Batch`] per slot; see
@@ -87,7 +98,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
+mod checkpoint;
 mod config;
 mod dedup;
 mod log;
@@ -96,7 +107,6 @@ pub mod pages;
 mod replica;
 pub mod wire;
 
-pub use client::ReplyCollector;
 pub use config::Config;
 pub use dedup::ExecutedSet;
 pub use messages::{

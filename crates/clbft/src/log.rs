@@ -1,6 +1,6 @@
 //! The message log: per-sequence-number slots with quorum tracking.
 
-use crate::messages::{Batch, Request};
+use crate::messages::Batch;
 use crate::{Config, ReplicaId, Seq, View};
 use pws_crypto::sha256::Digest32;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -89,26 +89,6 @@ impl Log {
                 }
                 let (_, _, batch) = slot.pre_prepare.as_ref()?;
                 Some((*seq, batch.clone()))
-            })
-            .collect()
-    }
-
-    /// Executed configuration records above `from`, in slot order. A
-    /// config record always seals a slot of its own, so each qualifying
-    /// slot contributes exactly one request. A coordinator recovering from
-    /// a stable checkpoint replays these to re-learn every transaction
-    /// decision and reshard step it has already durably ordered.
-    pub fn config_records_above(&self, from: Seq) -> Vec<(Seq, Request)> {
-        self.slots
-            .range(from.next()..)
-            .filter(|(_, slot)| slot.executed)
-            .filter_map(|(seq, slot)| {
-                let (_, _, batch) = slot.pre_prepare.as_ref()?;
-                batch
-                    .requests
-                    .iter()
-                    .find(|r| r.config)
-                    .map(|r| (*seq, r.clone()))
             })
             .collect()
     }
@@ -239,30 +219,6 @@ mod tests {
         assert_eq!(seqs, vec![2, 4]);
         assert!(log.executed_suffix(Seq(4), Seq(4)).is_empty());
         assert!(log.executed_suffix(Seq(4), Seq(1)).is_empty());
-    }
-
-    #[test]
-    fn config_records_above_skips_plain_and_unexecuted_slots() {
-        let mut log = Log::default();
-        for i in 1..=4u64 {
-            let b = if i % 2 == 0 {
-                Batch::of(Request::config_record(
-                    RequestId::new(9, i),
-                    Bytes::from_static(b"cfg"),
-                ))
-            } else {
-                req(i)
-            };
-            let d = b.digest();
-            let slot = log.slot_mut(Seq(i));
-            slot.pre_prepare = Some((View(0), d, b));
-            slot.executed = i != 4;
-        }
-        let records = log.config_records_above(Seq(0));
-        assert_eq!(records.len(), 1, "slot 2 only: 1/3 plain, 4 unexecuted");
-        assert_eq!(records[0].0, Seq(2));
-        assert!(records[0].1.config);
-        assert!(log.config_records_above(Seq(2)).is_empty());
     }
 
     #[test]

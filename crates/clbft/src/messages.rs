@@ -39,12 +39,6 @@ pub struct Request {
     pub id: RequestId,
     /// Opaque payload; the harness interprets it after `Execute`.
     pub payload: Bytes,
-    /// Read-only marker (the PBFT read optimization): the replica answers
-    /// from committed state without consuming a sequence slot, and the
-    /// client accepts only on `2f + 1` matching replies. A read-only
-    /// request never enters the ordering path; if the client cannot gather
-    /// its quorum it falls back by resubmitting with this flag cleared.
-    pub read_only: bool,
     /// Configuration-record marker: the request carries a group-management
     /// record (transaction decision, reshard step, epoch flip) rather than
     /// ordinary application traffic. A config record is ordered like any
@@ -60,18 +54,6 @@ impl Request {
         Request {
             id,
             payload,
-            read_only: false,
-            config: false,
-        }
-    }
-
-    /// Creates a read-only request: answered from committed state, never
-    /// ordered.
-    pub fn read_only(id: RequestId, payload: Bytes) -> Self {
-        Request {
-            id,
-            payload,
-            read_only: true,
             config: false,
         }
     }
@@ -82,20 +64,20 @@ impl Request {
         Request {
             id,
             payload,
-            read_only: false,
             config: true,
         }
     }
 
-    /// The combined flag byte (bit 0: read-only, bit 1: config) — the
-    /// canonical wire and digest encoding of the request's markers.
+    /// The flag byte (bit 1: config) — the canonical wire and digest
+    /// encoding of the request's markers. Bit 0 is reserved and always
+    /// zero: reads are answered outside agreement and never become
+    /// requests, and decoders reject a frame that sets it.
     pub fn flags(&self) -> u8 {
-        u8::from(self.read_only) | (u8::from(self.config) << 1)
+        u8::from(self.config) << 1
     }
 
     /// The canonical digest of this request. Covers the flag byte so a
-    /// flipped read-only or config marker cannot ride an existing
-    /// authenticator.
+    /// flipped config marker cannot ride an existing authenticator.
     pub fn digest(&self) -> Digest32 {
         let mut h = Sha256::new();
         h.update_u64(self.id.origin);
@@ -111,10 +93,9 @@ impl std::fmt::Debug for Request {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Request({:?}, {} bytes{}{})",
+            "Request({:?}, {} bytes{})",
             self.id,
             self.payload.len(),
-            if self.read_only { ", ro" } else { "" },
             if self.config { ", cfg" } else { "" }
         )
     }
@@ -457,17 +438,11 @@ mod tests {
         assert_ne!(d0, r2.digest());
         let r3 = Request::new(RequestId::new(1, 2), Bytes::from_static(b"abd"));
         assert_ne!(d0, r3.digest());
-        let ro = Request::read_only(RequestId::new(1, 2), Bytes::from_static(b"abc"));
-        assert_ne!(d0, ro.digest(), "read-only flag is digest-covered");
-        assert!(ro.read_only);
-        assert!(!r.read_only);
         let cfg = Request::config_record(RequestId::new(1, 2), Bytes::from_static(b"abc"));
         assert_ne!(d0, cfg.digest(), "config flag is digest-covered");
-        assert_ne!(ro.digest(), cfg.digest(), "flags occupy distinct bits");
-        assert!(cfg.config && !cfg.read_only);
+        assert!(cfg.config);
         assert_eq!(r.flags(), 0);
-        assert_eq!(ro.flags(), 1);
-        assert_eq!(cfg.flags(), 2);
+        assert_eq!(cfg.flags(), 2, "bit 0 stays reserved");
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! The CLBFT replica state machine (sans-io).
+//! The CLBFT replica state machine (sans-io): agreement, batching and view
+//! change. Checkpoints and state transfer live in [`crate::checkpoint`].
 
+use crate::checkpoint::{Checkpoints, Install, Transfer};
 use crate::dedup::ExecutedSet;
 use crate::log::Log;
 use crate::messages::{
-    checkpoint_digest, Batch, CheckpointMsg, CommitMsg, FetchPagesMsg, FetchStateMsg, Msg,
-    NewViewMsg, PageResponseMsg, PrePrepareMsg, PrepareMsg, PreparedClaim, Request, RequestId,
-    StateResponseMsg, SuffixSlot, ViewChangeMsg,
+    Batch, CommitMsg, Msg, NewViewMsg, PrePrepareMsg, PrepareMsg, PreparedClaim, Request,
+    RequestId, ViewChangeMsg,
 };
-use crate::pages::{page_digest, PageCounters, PageManifest, MAX_PAGES_PER_FETCH};
+use crate::pages::PageCounters;
 use crate::{Config, ReplicaId, Seq, View};
 use bytes::Bytes;
 use pws_crypto::sha256::{Digest32, Sha256};
 use pws_obs::{AuditEvent, FlightKind, Phase, ProtoFamily};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// An observability event collected by the replica for the harness to
 /// drain ([`Replica::take_obs_events`]) and stamp with real (sim) time.
@@ -57,7 +58,7 @@ pub enum ObsEvent {
 
 /// Folds a 32-byte digest to 64 bits for audit events: auditing needs
 /// cheap inequality detection, not collision resistance.
-fn fold_digest(d: &Digest32) -> u64 {
+pub(crate) fn fold_digest(d: &Digest32) -> u64 {
     let b = d.as_bytes();
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
@@ -66,10 +67,63 @@ fn fold_digest(d: &Digest32) -> u64 {
 /// never drains (e.g. a unit test) must not grow memory without limit.
 const OBS_BUFFER_CAP: usize = 1 << 16;
 
-/// Appends to the obs buffer, dropping events past the cap.
-fn push_obs(buf: &mut Vec<ObsEvent>, ev: ObsEvent) {
-    if buf.len() < OBS_BUFFER_CAP {
-        buf.push(ev);
+/// The replica's observability buffer. The agreement core and the
+/// checkpoint sub-machine write to the same one, so the harness drains
+/// their events in the order they happened.
+#[derive(Debug)]
+pub(crate) struct Obs {
+    events: Vec<ObsEvent>,
+    phases_on: bool,
+    audit_on: bool,
+}
+
+impl Obs {
+    pub fn new(cfg: &Config) -> Self {
+        Obs {
+            events: Vec::new(),
+            phases_on: cfg.obs_phases,
+            audit_on: cfg.audit,
+        }
+    }
+
+    /// Appends to the buffer, dropping events past the cap.
+    fn push(&mut self, ev: ObsEvent) {
+        if self.events.len() < OBS_BUFFER_CAP {
+            self.events.push(ev);
+        }
+    }
+
+    /// Records a request-lifecycle phase (no-op unless
+    /// [`Config::obs_phases`]).
+    pub fn phase(&mut self, id: RequestId, phase: Phase) {
+        if self.phases_on {
+            self.push(ObsEvent::Phase { id, phase });
+        }
+    }
+
+    /// Records a flight-recorder event (always collected).
+    pub fn flight(&mut self, kind: FlightKind, a: u64, b: u64) {
+        self.push(ObsEvent::Flight { kind, a, b });
+    }
+
+    /// Records a protocol-plane span phase (collected only with
+    /// [`Config::obs_phases`], like request phases).
+    pub fn proto(&mut self, family: ProtoFamily, id: u64, phase: usize, count: u64) {
+        if self.phases_on {
+            self.push(ObsEvent::Proto {
+                family,
+                id,
+                phase,
+                count,
+            });
+        }
+    }
+
+    /// Records an audit observation (collected only with [`Config::audit`]).
+    pub fn audit(&mut self, ev: AuditEvent) {
+        if self.audit_on {
+            self.push(ObsEvent::Audit(ev));
+        }
     }
 }
 
@@ -118,14 +172,6 @@ pub enum Action {
     },
     /// A checkpoint became stable; the log below it was discarded.
     Stable(Seq),
-    /// Answer a read-only request directly from committed application
-    /// state (the PBFT read optimization): no sequence slot is consumed
-    /// and nothing is broadcast. Emitted only while
-    /// [`Replica::can_serve_reads`] holds; the harness executes the
-    /// request against a scratch copy of state and sends the reply on its
-    /// own channel — the client accepts it only on `2f + 1` matching
-    /// copies.
-    ReadOnly(Request),
     /// The replica entered a new view.
     EnteredView(View),
     /// Maintain the view-change timer.
@@ -135,70 +181,6 @@ pub enum Action {
     /// whatever is queued regardless of pipeline occupancy. The delay is
     /// the harness's rendering of [`Config::batch_delay_us`].
     BatchTimer(TimerCmd),
-}
-
-/// Execution-chain and dedup-set values captured when execution crosses a
-/// checkpoint boundary, consumed when the harness answers with the
-/// application snapshot.
-#[derive(Debug, Clone)]
-struct BoundaryInfo {
-    exec_chain: Digest32,
-    executed: ExecutedSet,
-}
-
-/// A fully-materialized checkpoint retained to serve state transfer. Its
-/// digest is recomputed by fetchers from these components, so it is not
-/// stored here. The manifest is the snapshot's page table
-/// ([`PageManifest`]): `StateResponse` ships the manifest, and the pages
-/// themselves are served range-by-range from `snapshot` in answer to
-/// `FetchPages`.
-#[derive(Debug, Clone)]
-struct CheckpointState {
-    seq: Seq,
-    exec_chain: Digest32,
-    snapshot: Bytes,
-    manifest: PageManifest,
-    executed: ExecutedSet,
-}
-
-/// An in-progress Merkle page transfer toward a certified checkpoint. The
-/// manifest arrived in a `StateResponse` whose checkpoint digest reached
-/// `f + 1` distinct vouchers — and that digest covers the manifest's Merkle
-/// root, which covers every per-page digest — so each received page is
-/// verified against the manifest before it fills a slot. The checkpoint
-/// installs only once no page is missing; a Byzantine responder can stall
-/// the transfer but never corrupt it.
-#[derive(Debug)]
-struct PageFetch {
-    seq: Seq,
-    digest: Digest32,
-    exec_chain: Digest32,
-    executed: ExecutedSet,
-    manifest: PageManifest,
-    /// Verified page bytes by index; `None` until fetched (pages already in
-    /// the local store are filled at fetch start).
-    pages: Vec<Option<Bytes>>,
-    /// Pages asked of some responder in the current solicitation round.
-    /// A page is never re-requested while this is set — redundant honest
-    /// responders would otherwise all ship the same range — and the flag
-    /// clears when the page's answer fails verification (re-ask another
-    /// peer immediately) or when a new `FetchState` round begins.
-    requested: Vec<bool>,
-    /// Count of `None` entries in `pages`.
-    missing: usize,
-}
-
-/// Claims for the batch agreed at one suffix slot, collected across
-/// `StateResponse`s. The checkpoint digest does not cover the suffix, so a
-/// slot replays only once `f + 1` distinct responders sent the identical
-/// batch for it — then at least one correct replica vouches that this batch
-/// really committed there.
-#[derive(Debug, Default)]
-struct SuffixVotes {
-    /// Each responder's latest claim for this slot (a re-vote replaces).
-    by_replica: HashMap<ReplicaId, Digest32>,
-    /// The claimed batches, by batch digest.
-    batches: HashMap<Digest32, Batch>,
 }
 
 #[derive(Debug, Clone)]
@@ -226,58 +208,9 @@ pub struct Replica {
     log: Log,
     last_exec: Seq,
     exec_chain: Digest32,
-    stable_seq: Seq,
-    stable_digest: Digest32,
-    own_checkpoints: BTreeMap<Seq, Digest32>,
-    checkpoint_votes: BTreeMap<Seq, HashMap<Digest32, HashSet<ReplicaId>>>,
-    /// Per-peer index of the seqs it holds votes for in `checkpoint_votes`,
-    /// capping how many entries any one peer can occupy (a Byzantine peer
-    /// could otherwise grow the vote map without bound by voting for
-    /// arbitrary far-future seqs that are never garbage-collected).
-    ckpt_vote_index: HashMap<ReplicaId, BTreeSet<Seq>>,
-    /// Suffix-slot claims gathered from `StateResponse`s; a slot replays
-    /// only with `f + 1` identical copies ([`Replica::try_replay_suffix`]).
-    suffix_votes: BTreeMap<Seq, SuffixVotes>,
-    /// The latest view each `StateResponse` sender reported. A rebooted
-    /// replica rejoins view `v` only when `f + 1` distinct responders
-    /// report a view `>= v` (so at least one correct replica really is
-    /// there); a lone Byzantine responder cannot strand it in a bogus
-    /// far-future view.
-    reported_views: HashMap<ReplicaId, View>,
-    /// `StateResponse`s served per requester at the current stable
-    /// checkpoint, bounding the large-message amplification a
-    /// `FetchState`-spamming peer can extract.
-    served_fetches: HashMap<ReplicaId, (Seq, u32)>,
-    /// Chain/dedup values at checkpoint boundaries awaiting the harness's
-    /// snapshot ([`Replica::on_snapshot`]).
-    pending_boundaries: BTreeMap<Seq, BoundaryInfo>,
-    /// Checkpoints taken locally but not yet group-stable.
-    pending_states: BTreeMap<Seq, CheckpointState>,
-    /// The latest stable checkpoint's full state, serving `FetchState`.
-    latest_stable: Option<CheckpointState>,
-    /// Highest checkpoint seq a lag-triggered fetch is in flight for
-    /// (suppresses re-broadcasting for the same evidence).
-    fetch_target: Option<Seq>,
-    /// In-progress Merkle page transfer toward a certified checkpoint
-    /// ([`Replica::begin_page_fetch`]); cleared on install or when a newer
-    /// certified checkpoint supersedes it.
-    page_fetch: Option<PageFetch>,
-    /// Content-addressed store of pages this replica holds (the latest
-    /// boundary's pages, plus verified fetched pages mid-transfer): the
-    /// diff base that lets a warm fetcher pull only pages it is missing.
-    /// Rebuilt wholesale at each boundary/install, so it stays bounded at
-    /// one snapshot's worth of pages.
-    page_store: HashMap<Digest32, Bytes>,
-    /// The previous boundary's snapshot and manifest: the diff base for
-    /// incremental hashing ([`PageManifest::compute_incremental`]).
-    last_hashed: Option<(Bytes, PageManifest)>,
-    /// Counters behind the `clbft.pages.*` metrics, drained by the harness
-    /// via [`Replica::take_page_counters`].
-    page_counters: PageCounters,
-    /// Pages served per requester at the current stable checkpoint: the
-    /// page-granular sibling of `served_fetches`, bounding the traffic a
-    /// `FetchPages`-spamming peer can extract.
-    served_pages: HashMap<ReplicaId, (Seq, u64)>,
+    /// Checkpoints and state transfer: owns the stable checkpoint (the
+    /// base of the watermark window) and the read gate's transfer half.
+    ckpt: Checkpoints,
     /// Requests known but not yet executed (pending or ordered). Entries
     /// move into the compact [`ExecutedSet`] on execution, so this map
     /// stays bounded by the in-flight window, not by history.
@@ -296,13 +229,9 @@ pub struct Replica {
     /// `try_execute` when a proposal executes synchronously (n = 1); the
     /// outer drain loop already continues, so inner calls are no-ops.
     draining: bool,
-    /// State transfer in progress: set when this replica solicits a fetch
-    /// (lag evidence or explicit rejoin) and cleared only once the fetch
-    /// is satisfied *and* the known committed suffix has replayed — until
-    /// then the replica's state may be a bare checkpoint behind the
-    /// group's frontier and must not answer read-only requests.
-    recovering: bool,
-    view_changes: BTreeMap<View, HashMap<ReplicaId, ViewChangeMsg>>,
+    /// View-change votes per target view. Ordered by voter so the
+    /// `NewView` built from them has the same bytes in every run.
+    view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChangeMsg>>,
     new_view_sent: HashSet<u64>,
     /// Pre-prepares/prepares for views we have not entered yet (e.g. a new
     /// primary's first proposals racing ahead of its NewView on the wire).
@@ -311,38 +240,10 @@ pub struct Replica {
     stashed: Vec<(ReplicaId, Msg)>,
     /// Observability events awaiting the harness
     /// ([`Replica::take_obs_events`]). Bounded by [`OBS_BUFFER_CAP`].
-    obs_events: Vec<ObsEvent>,
+    obs: Obs,
 }
 
 const STASH_CAP: usize = 10_000;
-
-/// Maximum `StateResponse`s served to one requester per stable checkpoint:
-/// one for the fetch that discovers the checkpoint, one spare in case the
-/// requester loses its state again before the next boundary stabilizes.
-const MAX_SERVES_PER_STABLE: u32 = 2;
-
-/// Floor of the per-requester *page*-serve budget per stable checkpoint
-/// (the budget itself is `MAX_SERVES_PER_STABLE` full transfers' worth of
-/// pages); the floor keeps tiny snapshots from starving honest retries.
-const MIN_PAGE_BUDGET: u64 = 2 * MAX_PAGES_PER_FETCH as u64;
-
-/// The `Bytes` view of page `i` of `snapshot` (refcounted slice, no copy).
-fn page_slice(snapshot: &Bytes, manifest: &PageManifest, i: usize) -> Bytes {
-    let ps = manifest.page_size() as usize;
-    let start = i * ps;
-    snapshot.slice(start..(start + ps).min(snapshot.len()))
-}
-
-/// Concatenates a completed fetch's pages back into the snapshot bytes.
-/// Every page was verified against the certified manifest, so the result
-/// re-chunks to exactly that manifest.
-fn assemble_pages(pf: &PageFetch) -> Bytes {
-    let mut buf = Vec::with_capacity(pf.manifest.total_len() as usize);
-    for page in &pf.pages {
-        buf.extend_from_slice(page.as_ref().expect("fetch complete"));
-    }
-    Bytes::from(buf)
-}
 
 impl Replica {
     /// Creates a replica with the given id and group configuration.
@@ -358,7 +259,6 @@ impl Replica {
         );
         Replica {
             id,
-            cfg,
             view: View(0),
             in_view_change: false,
             vc_target: View(0),
@@ -366,77 +266,25 @@ impl Replica {
             log: Log::default(),
             last_exec: Seq::ZERO,
             exec_chain: Digest32::ZERO,
-            stable_seq: Seq::ZERO,
-            stable_digest: Digest32::ZERO,
-            own_checkpoints: BTreeMap::new(),
-            checkpoint_votes: BTreeMap::new(),
-            ckpt_vote_index: HashMap::new(),
-            suffix_votes: BTreeMap::new(),
-            reported_views: HashMap::new(),
-            served_fetches: HashMap::new(),
-            pending_boundaries: BTreeMap::new(),
-            pending_states: BTreeMap::new(),
-            latest_stable: None,
-            fetch_target: None,
-            page_fetch: None,
-            page_store: HashMap::new(),
-            last_hashed: None,
-            page_counters: PageCounters::default(),
-            served_pages: HashMap::new(),
+            ckpt: Checkpoints::new(id, cfg.clone()),
             requests: HashMap::new(),
             executed: ExecutedSet::new(),
             outstanding: 0,
             queue: VecDeque::new(),
             batch_timer_armed: false,
             draining: false,
-            recovering: false,
             view_changes: BTreeMap::new(),
             new_view_sent: HashSet::new(),
             stashed: Vec::new(),
-            obs_events: Vec::new(),
-        }
-    }
-
-    /// Records a request-lifecycle phase (no-op unless
-    /// [`Config::obs_phases`]).
-    fn obs_phase(&mut self, id: RequestId, phase: Phase) {
-        if self.cfg.obs_phases {
-            push_obs(&mut self.obs_events, ObsEvent::Phase { id, phase });
-        }
-    }
-
-    /// Records a flight-recorder event (always collected).
-    fn obs_flight(&mut self, kind: FlightKind, a: u64, b: u64) {
-        push_obs(&mut self.obs_events, ObsEvent::Flight { kind, a, b });
-    }
-
-    /// Records a protocol-plane span phase (collected only with
-    /// [`Config::obs_phases`], like request phases).
-    fn obs_proto(&mut self, family: ProtoFamily, id: u64, phase: usize, count: u64) {
-        if self.cfg.obs_phases {
-            push_obs(
-                &mut self.obs_events,
-                ObsEvent::Proto {
-                    family,
-                    id,
-                    phase,
-                    count,
-                },
-            );
-        }
-    }
-
-    /// Records an audit observation (collected only with [`Config::audit`]).
-    fn obs_audit(&mut self, ev: AuditEvent) {
-        if self.cfg.audit {
-            push_obs(&mut self.obs_events, ObsEvent::Audit(ev));
+            obs: Obs::new(&cfg),
+            cfg,
         }
     }
 
     /// Drains the pending observability events. The harness stamps them
     /// with sim-time and feeds them to the simulation's recorder.
     pub fn take_obs_events(&mut self) -> Vec<ObsEvent> {
-        std::mem::take(&mut self.obs_events)
+        std::mem::take(&mut self.obs.events)
     }
 
     /// This replica's id.
@@ -478,21 +326,14 @@ impl Replica {
 
     /// Last stable checkpoint.
     pub fn stable_seq(&self) -> Seq {
-        self.stable_seq
+        self.ckpt.stable_seq()
     }
 
-    /// Digest of the last stable checkpoint ([`checkpoint_digest`]; ZERO
-    /// before the first checkpoint stabilizes).
+    /// Digest of the last stable checkpoint
+    /// ([`checkpoint_digest`](crate::checkpoint_digest); ZERO before the
+    /// first checkpoint stabilizes).
     pub fn stable_digest(&self) -> Digest32 {
-        self.stable_digest
-    }
-
-    /// Executed configuration records above the stable checkpoint, in slot
-    /// order. Together with the checkpointed application snapshot this is
-    /// the durable record a recovering coordinator replays so it never
-    /// forgets a transaction decision or reshard step it already ordered.
-    pub fn config_records_above_stable(&self) -> Vec<(Seq, Request)> {
-        self.log.config_records_above(self.stable_seq)
+        self.ckpt.stable_digest()
     }
 
     /// Whether a view change is in progress.
@@ -519,41 +360,31 @@ impl Replica {
     }
 
     fn high_watermark(&self) -> Seq {
-        Seq(self.stable_seq.0 + self.cfg.watermark_window)
+        Seq(self.stable_seq().0 + self.cfg.watermark_window)
     }
 
     fn in_watermarks(&self, seq: Seq) -> bool {
-        seq > self.stable_seq && seq <= self.high_watermark()
+        seq > self.stable_seq() && seq <= self.high_watermark()
     }
 
     /// Whether the read-only fast path may answer right now: not mid view
     /// change and no state transfer in flight (a freshly installed
-    /// checkpoint may be a whole suffix behind the group).
+    /// checkpoint may be a whole suffix behind the group). The harness
+    /// consults this before answering a read from committed state — a
+    /// read consumes no sequence slot and never reaches the replica.
     pub fn can_serve_reads(&self) -> bool {
-        !self.in_view_change && !self.recovering
+        !self.in_view_change && !self.ckpt.recovering()
     }
 
     /// Whether a solicited state transfer is still in progress (reads stay
     /// gated until the fetched checkpoint's committed suffix replays).
     pub fn state_transfer_in_progress(&self) -> bool {
-        self.recovering
+        self.ckpt.recovering()
     }
 
     /// Submits a request at this replica (from a local client/driver).
-    ///
-    /// A read-only request never enters the ordering path: when the fast
-    /// path is open it comes straight back as [`Action::ReadOnly`] —
-    /// consuming no sequence slot, touching no dedup state — and when it
-    /// is closed the request is silently dropped (the client's quorum
-    /// fails and it falls back to an ordered resubmission).
     pub fn on_request(&mut self, request: Request) -> Vec<Action> {
         let mut out = Vec::new();
-        if request.read_only {
-            if self.can_serve_reads() {
-                out.push(Action::ReadOnly(request));
-            }
-            return out;
-        }
         if self.executed.contains(&request.id) || self.requests.contains_key(&request.id) {
             return out; // duplicate submission or already executed
         }
@@ -641,11 +472,11 @@ impl Replica {
             // The primary never receives its own pre-prepare, so it stamps
             // both the seal and its own acceptance here.
             for r in &batch.requests {
-                self.obs_phase(r.id, Phase::Batched);
-                self.obs_phase(r.id, Phase::PrePrepared);
+                self.obs.phase(r.id, Phase::Batched);
+                self.obs.phase(r.id, Phase::PrePrepared);
             }
         }
-        self.obs_audit(AuditEvent::PrePrepare {
+        self.obs.audit(AuditEvent::PrePrepare {
             view: self.view.0,
             seq: seq.0,
             digest: fold_digest(&digest),
@@ -661,7 +492,7 @@ impl Replica {
     /// pipeline) does not arm the timer — firing could not seal anything,
     /// so re-arming would busy-spin every `batch_delay_us` until a
     /// checkpoint stabilizes; the watermark-advance path in
-    /// `try_stabilize` drains the queue instead.
+    /// [`Replica::apply_stable`] drains the queue instead.
     fn update_batch_timer(&mut self, out: &mut Vec<Action>) {
         let want = !self.queue.is_empty()
             && self.is_primary()
@@ -697,13 +528,35 @@ impl Replica {
             Msg::PrePrepare(pp) => self.handle_pre_prepare(from, pp, &mut out),
             Msg::Prepare(p) => self.handle_prepare(from, p, &mut out),
             Msg::Commit(c) => self.handle_commit(from, c, &mut out),
-            Msg::Checkpoint(c) => self.handle_checkpoint(from, c, &mut out),
             Msg::ViewChange(vc) => self.handle_view_change(from, vc, &mut out),
             Msg::NewView(nv) => self.handle_new_view(from, nv, &mut out),
-            Msg::FetchState(fs) => self.handle_fetch_state(from, fs, &mut out),
-            Msg::StateResponse(sr) => self.handle_state_response(from, sr, &mut out),
-            Msg::FetchPages(fp) => self.handle_fetch_pages(from, fp, &mut out),
-            Msg::PageResponse(pr) => self.handle_page_response(from, pr, &mut out),
+            Msg::Checkpoint(c) => {
+                let stable =
+                    self.ckpt
+                        .on_checkpoint(from, c, self.last_exec, &mut self.obs, &mut out);
+                self.apply_stable(stable, &mut out);
+            }
+            Msg::FetchState(fs) => {
+                // The view and the committed log suffix are this core's
+                // part of the answer.
+                let (log, last_exec) = (&self.log, self.last_exec);
+                let suffix = |above| log.executed_suffix(above, last_exec);
+                self.ckpt
+                    .on_fetch_state(from, fs, self.view, suffix, &mut out);
+            }
+            Msg::StateResponse(sr) => {
+                let transfer =
+                    self.ckpt
+                        .on_state_response(from, sr, self.last_exec, &mut self.obs, &mut out);
+                self.apply_transfer(transfer, &mut out);
+            }
+            Msg::FetchPages(fp) => self.ckpt.on_fetch_pages(from, fp, &mut out),
+            Msg::PageResponse(pr) => {
+                let transfer = self
+                    .ckpt
+                    .on_page_response(from, pr, self.last_exec, &mut self.obs);
+                self.apply_transfer(transfer, &mut out);
+            }
         }
         out
     }
@@ -754,10 +607,10 @@ impl Replica {
         }
         if self.cfg.obs_phases {
             for r in &pp.batch.requests {
-                self.obs_phase(r.id, Phase::PrePrepared);
+                self.obs.phase(r.id, Phase::PrePrepared);
             }
         }
-        self.obs_audit(AuditEvent::PrePrepare {
+        self.obs.audit(AuditEvent::PrePrepare {
             view: pp.view.0,
             seq: pp.seq.0,
             digest: fold_digest(&pp.digest),
@@ -834,17 +687,11 @@ impl Replica {
         if cfg.obs_phases {
             if let Some((_, _, batch)) = &slot.pre_prepare {
                 for r in &batch.requests {
-                    push_obs(
-                        &mut self.obs_events,
-                        ObsEvent::Phase {
-                            id: r.id,
-                            phase: Phase::Prepared,
-                        },
-                    );
+                    self.obs.phase(r.id, Phase::Prepared);
                 }
             }
         }
-        self.obs_audit(AuditEvent::Prepared {
+        self.obs.audit(AuditEvent::Prepared {
             view: v.0,
             seq: seq.0,
             digest: fold_digest(&d),
@@ -886,52 +733,11 @@ impl Replica {
             let slot = self.log.slot_mut(next);
             slot.executed = true;
             let (_, digest, batch) = slot.pre_prepare.clone().expect("committed implies pp");
-            self.last_exec = next;
             progressed = true;
-            // Chain the execution history for checkpoints.
-            let mut h = Sha256::new();
-            h.update(self.exec_chain.as_bytes());
-            h.update_u64(next.0);
-            h.update(digest.as_bytes());
-            self.exec_chain = h.finalize();
-            self.obs_audit(AuditEvent::Committed {
-                seq: next.0,
-                digest: fold_digest(&digest),
-                via_transfer: false,
-            });
-
-            // Unpack the batch in order, skipping already-executed requests
-            // (re-proposals across view changes can repeat them). Executed
-            // ids move from the live request map into the compact dedup
-            // set.
-            let mut fresh = Vec::new();
-            for request in batch.requests {
-                let first_time = self.executed.insert(request.id);
-                if self.requests.remove(&request.id).is_some() {
-                    self.outstanding = self.outstanding.saturating_sub(1);
-                }
-                if first_time {
-                    fresh.push(request);
-                }
-            }
-            if !fresh.is_empty() {
-                if self.cfg.obs_phases {
-                    for r in &fresh {
-                        self.obs_phase(r.id, Phase::Committed);
-                    }
-                }
-                out.push(Action::Execute {
-                    seq: next,
-                    batch: fresh,
-                });
-            }
-
-            if next.0.is_multiple_of(self.cfg.checkpoint_interval) {
-                self.request_checkpoint(next, out);
-            }
+            self.execute_slot(next, digest, batch, false, out);
         }
         if progressed {
-            self.maybe_finish_recovery();
+            self.ckpt.executed_to(self.last_exec);
             out.push(Action::ViewTimer(if self.outstanding == 0 {
                 TimerCmd::Stop
             } else {
@@ -945,21 +751,75 @@ impl Replica {
         }
     }
 
-    /// Captures the boundary values and asks the harness for the
-    /// application snapshot; [`Replica::on_snapshot`] completes the
-    /// checkpoint.
-    fn request_checkpoint(&mut self, seq: Seq, out: &mut Vec<Action>) {
-        self.pending_boundaries.insert(
-            seq,
-            BoundaryInfo {
-                exec_chain: self.exec_chain,
-                // The compact dedup set is canonical by construction, so
-                // this clone is identical at every correct replica at the
-                // same execution point (and O(origins), not O(history)).
-                executed: self.executed.clone(),
-            },
-        );
-        out.push(Action::TakeCheckpoint(seq));
+    /// Executes the batch agreed at `seq`: chains the execution digest,
+    /// dedups, delivers, and re-enters the checkpoint cadence at
+    /// boundaries. `via_transfer` marks a slot that landed through an
+    /// `f + 1`-agreed suffix copy, not a local commit certificate.
+    fn execute_slot(
+        &mut self,
+        seq: Seq,
+        digest: Digest32,
+        batch: Batch,
+        via_transfer: bool,
+        out: &mut Vec<Action>,
+    ) {
+        self.last_exec = seq;
+        // Chain the execution history for checkpoints.
+        let mut h = Sha256::new();
+        h.update(self.exec_chain.as_bytes());
+        h.update_u64(seq.0);
+        h.update(digest.as_bytes());
+        self.exec_chain = h.finalize();
+        // The auditor must not demand a covering prepare sighting for a
+        // transferred slot.
+        self.obs.audit(AuditEvent::Committed {
+            seq: seq.0,
+            digest: fold_digest(&digest),
+            via_transfer,
+        });
+
+        // Unpack the batch in order, skipping already-executed requests
+        // (re-proposals across view changes can repeat them). Executed
+        // ids move from the live request map into the compact dedup set.
+        // Unknown-but-agreed requests also deliver; `outstanding` is only
+        // adjusted for entries this replica had counted.
+        let mut fresh = Vec::new();
+        for request in batch.requests {
+            let first_time = self.executed.insert(request.id);
+            if self.requests.remove(&request.id).is_some() {
+                self.outstanding = self.outstanding.saturating_sub(1);
+                if via_transfer {
+                    // Not sealed from this replica's queue, so the request
+                    // may still be waiting in it.
+                    self.queue.retain(|q| *q != request.id);
+                }
+            }
+            if first_time {
+                fresh.push(request);
+            }
+        }
+        if !fresh.is_empty() {
+            // A transferred slot committed at its vouchers long ago; only
+            // a local commit certificate stamps the phase.
+            if self.cfg.obs_phases && !via_transfer {
+                for r in &fresh {
+                    self.obs.phase(r.id, Phase::Committed);
+                }
+            }
+            out.push(Action::Execute { seq, batch: fresh });
+        }
+
+        if seq.0.is_multiple_of(self.cfg.checkpoint_interval) {
+            // Capture the boundary values and ask the harness for the
+            // application snapshot; [`Replica::on_snapshot`] completes the
+            // checkpoint. The compact dedup set is canonical by
+            // construction, so this clone is identical at every correct
+            // replica at the same execution point (and O(origins), not
+            // O(history)).
+            self.ckpt
+                .capture_boundary(seq, self.exec_chain, self.executed.clone());
+            out.push(Action::TakeCheckpoint(seq));
+        }
     }
 
     /// The executed-request dedup set (for assertions and size metrics).
@@ -971,14 +831,14 @@ impl Replica {
     /// publishes them as the `clbft.pages.*` metrics and charges hashing
     /// and transfer costs from them.
     pub fn take_page_counters(&mut self) -> PageCounters {
-        self.page_counters.take()
+        self.ckpt.take_page_counters()
     }
 
-    /// Hands over the content-addressed page store, e.g. so a harness can
-    /// carry still-warm pages across a state wipe. The replica keeps
-    /// nothing; re-seed the successor with [`Replica::seed_page_store`].
+    /// Hands over every snapshot page this replica holds, e.g. so a
+    /// harness can carry still-warm pages across a state wipe; re-seed the
+    /// successor with [`Replica::seed_page_store`].
     pub fn take_page_store(&mut self) -> Vec<Bytes> {
-        self.page_store.drain().map(|(_, page)| page).collect()
+        self.ckpt.take_page_store()
     }
 
     /// Seeds the content-addressed page store. Every page is keyed by its
@@ -988,19 +848,7 @@ impl Replica {
     /// over the wire instead — re-verification against the `f + 1`-vouched
     /// root, not the seed itself, is what makes a warm restart trustworthy.
     pub fn seed_page_store(&mut self, pages: impl IntoIterator<Item = Bytes>) {
-        for page in pages {
-            self.page_store.insert(page_digest(&page), page);
-        }
-    }
-
-    /// Replaces the page store with the pages of `snapshot`, bounding it at
-    /// one snapshot's worth (the working set a warm fetcher diffs against).
-    fn rebuild_page_store(&mut self, snapshot: &Bytes, manifest: &PageManifest) {
-        self.page_store.clear();
-        for i in 0..manifest.len() {
-            let d = *manifest.digest(i).expect("index in range");
-            self.page_store.insert(d, page_slice(snapshot, manifest, i));
-        }
+        self.ckpt.seed_page_store(pages);
     }
 
     /// The harness's answer to [`Action::TakeCheckpoint`]: `snapshot` is
@@ -1011,615 +859,61 @@ impl Replica {
     /// vote.
     pub fn on_snapshot(&mut self, seq: Seq, snapshot: Bytes) -> Vec<Action> {
         let mut out = Vec::new();
-        let Some(info) = self.pending_boundaries.remove(&seq) else {
-            return out; // boundary superseded by an install or never emitted
-        };
-        if seq <= self.stable_seq {
-            return out;
-        }
-        let (manifest, hashed, dirty) = {
-            let prev = self.last_hashed.as_ref().map(|(b, m)| (b.as_ref(), m));
-            PageManifest::compute_incremental(&snapshot, self.cfg.page_size, prev)
-        };
-        self.page_counters.hashed += hashed;
-        self.page_counters.dirty += dirty;
-        self.obs_flight(FlightKind::CheckpointTaken, seq.0, snapshot.len() as u64);
-        self.obs_proto(ProtoFamily::Ckpt, seq.0, 0, snapshot.len() as u64);
-        let digest = checkpoint_digest(seq, &manifest, &info.executed, &info.exec_chain);
-        self.rebuild_page_store(&snapshot, &manifest);
-        self.last_hashed = Some((snapshot.clone(), manifest.clone()));
-        self.pending_states.insert(
-            seq,
-            CheckpointState {
-                seq,
-                exec_chain: info.exec_chain,
-                snapshot,
-                manifest,
-                executed: info.executed,
-            },
-        );
-        self.own_checkpoints.insert(seq, digest);
-        self.record_checkpoint_vote(seq, digest, self.id);
-        out.push(Action::Broadcast(Msg::Checkpoint(CheckpointMsg {
-            seq,
-            state_digest: digest,
-            replica: self.id,
-        })));
-        self.try_stabilize(seq, &mut out);
+        let stable = self
+            .ckpt
+            .on_snapshot(seq, snapshot, &mut self.obs, &mut out);
+        self.apply_stable(stable, &mut out);
         out
     }
 
-    fn handle_checkpoint(&mut self, from: ReplicaId, c: CheckpointMsg, out: &mut Vec<Action>) {
-        if c.seq <= self.stable_seq || from != c.replica {
+    /// Applies a checkpoint the sub-machine just made stable, if any: the
+    /// log below it is discarded and the watermark window slides.
+    fn apply_stable(&mut self, stable: Option<Seq>, out: &mut Vec<Action>) {
+        let Some(seq) = stable else {
             return;
+        };
+        self.log.gc_below(seq);
+        out.push(Action::Stable(seq));
+        // The watermark advanced: the primary can seal queued batches that
+        // were blocked on the window.
+        if self.is_primary() && !self.in_view_change {
+            self.drain_queue(false, out);
         }
-        self.record_checkpoint_vote(c.seq, c.state_digest, from);
-        self.try_stabilize(c.seq, out);
-        self.maybe_fetch(c.seq, out);
-    }
-
-    /// How many distinct checkpoint seqs one peer's votes may occupy: the
-    /// boundaries a correct replica can legitimately have in flight at once
-    /// (one per interval across the watermark window) plus slack for races
-    /// around stabilization.
-    fn max_tracked_ckpts(&self) -> usize {
-        (self.cfg.watermark_window / self.cfg.checkpoint_interval.max(1)) as usize + 2
-    }
-
-    /// Records one replica's checkpoint vote, keeping the vote map bounded:
-    /// votes off the interval cadence are rejected outright (honest
-    /// checkpoints only happen at boundaries), a peer voting two digests
-    /// for the same seq keeps only its first, and a peer exceeding
-    /// [`Replica::max_tracked_ckpts`] seqs has its lowest-seq vote evicted.
-    fn record_checkpoint_vote(&mut self, seq: Seq, digest: Digest32, from: ReplicaId) {
-        if seq.0 == 0 || !seq.0.is_multiple_of(self.cfg.checkpoint_interval) || from.0 >= self.cfg.n
-        {
-            return;
-        }
-        let cap = self.max_tracked_ckpts();
-        let per = self.checkpoint_votes.entry(seq).or_default();
-        if per
-            .iter()
-            .any(|(d, voters)| *d != digest && voters.contains(&from))
-        {
-            return; // equivocating vote; keep the first
-        }
-        per.entry(digest).or_default().insert(from);
-        self.obs_audit(AuditEvent::CheckpointVote {
-            seq: seq.0,
-            digest: fold_digest(&digest),
-            voter: from.0 as u64,
-        });
-        let index = self.ckpt_vote_index.entry(from).or_default();
-        index.insert(seq);
-        if index.len() > cap {
-            // Evict this peer's lowest-seq vote (if the newcomer is itself
-            // the lowest, the newcomer is what gets dropped).
-            let evict = index.pop_first().expect("index non-empty");
-            if let Some(per) = self.checkpoint_votes.get_mut(&evict) {
-                per.retain(|_, voters| {
-                    voters.remove(&from);
-                    !voters.is_empty()
-                });
-                if per.is_empty() {
-                    self.checkpoint_votes.remove(&evict);
-                }
-            }
-        }
-    }
-
-    /// Drops per-peer vote-index entries at or below the new stable
-    /// checkpoint, mirroring the `checkpoint_votes` garbage collection.
-    fn gc_ckpt_vote_index(&mut self, stable: Seq) {
-        for index in self.ckpt_vote_index.values_mut() {
-            while index.first().is_some_and(|s| *s <= stable) {
-                index.pop_first();
-            }
-        }
-        self.ckpt_vote_index.retain(|_, index| !index.is_empty());
-    }
-
-    /// Lag detection: `f + 1` distinct replicas vouching for a checkpoint a
-    /// full interval (or a whole watermark window) ahead of our execution
-    /// frontier means we missed history that retransmits will never
-    /// replay — the slots below the group's stable checkpoint are
-    /// garbage-collected at every correct peer. Fetch state instead.
-    fn maybe_fetch(&mut self, seq: Seq, out: &mut Vec<Action>) {
-        if seq <= self.last_exec {
-            return;
-        }
-        let lagging =
-            seq > self.high_watermark() || seq.0 >= self.last_exec.0 + self.cfg.checkpoint_interval;
-        if !lagging {
-            return;
-        }
-        let vouched = self
-            .checkpoint_votes
-            .get(&seq)
-            .is_some_and(|per| per.values().any(|v| v.len() > self.cfg.f() as usize));
-        if !vouched || self.fetch_target.is_some_and(|t| t >= seq) {
-            return;
-        }
-        self.fetch_target = Some(seq);
-        self.recovering = true;
-        self.obs_flight(FlightKind::StateFetchStarted, self.stable_seq.0, 0);
-        // The lag-triggered transfer knows its certified target up front,
-        // so the `xfer.<seq>` span opens at "triggered" here. The proactive
-        // path ([`Replica::begin_state_fetch`]) learns its target only from
-        // the first response; its span opens at "manifest-verified".
-        self.obs_proto(ProtoFamily::Xfer, seq.0, 0, 0);
-        // A new solicitation round: pages whose holder stalled become
-        // eligible for re-request from whoever answers this broadcast.
-        if let Some(pf) = &mut self.page_fetch {
-            pf.requested.fill(false);
-        }
-        out.push(Action::Broadcast(Msg::FetchState(FetchStateMsg {
-            have: self.stable_seq,
-            replica: self.id,
-        })));
     }
 
     /// Explicitly (re)joins via state transfer: broadcast a `FetchState`
     /// for anything newer than our stable checkpoint. Used by proactive
     /// recovery right after a replica's state is torn down.
     pub fn begin_state_fetch(&mut self) -> Vec<Action> {
-        if self.cfg.n == 1 {
-            return Vec::new();
-        }
-        // Gate the read-only fast path until the transfer completes (the
-        // suffix has replayed); a bare fetched checkpoint may be a whole
-        // suffix behind the group's committed frontier.
-        self.recovering = true;
-        self.obs_flight(FlightKind::StateFetchStarted, self.stable_seq.0, 0);
-        // A new solicitation round re-opens stalled page requests (see
-        // `PageFetch::requested`).
-        if let Some(pf) = &mut self.page_fetch {
-            pf.requested.fill(false);
-        }
-        vec![Action::Broadcast(Msg::FetchState(FetchStateMsg {
-            have: self.stable_seq,
-            replica: self.id,
-        }))]
+        self.ckpt.begin_state_fetch(&mut self.obs)
     }
 
-    fn handle_fetch_state(&mut self, from: ReplicaId, fs: FetchStateMsg, out: &mut Vec<Action>) {
-        if from != fs.replica || from == self.id || from.0 >= self.cfg.n {
-            return;
+    /// Applies what a `StateResponse` or `PageResponse` achieved: install,
+    /// then replay, then the shared tail, then the view.
+    fn apply_transfer(&mut self, transfer: Transfer, out: &mut Vec<Action>) {
+        if let Some(checkpoint) = transfer.install {
+            self.install_checkpoint(checkpoint, out);
         }
-        let Some(state) = &self.latest_stable else {
-            return;
-        };
-        if state.seq <= fs.have {
-            return;
+        for (seq, batch) in transfer.replay {
+            let digest = batch.digest();
+            let slot = self.log.slot_mut(seq);
+            slot.pre_prepare = Some((self.view, digest, batch.clone()));
+            slot.executed = true;
+            slot.commit_sent = true;
+            self.execute_slot(seq, digest, batch, true, out);
         }
-        // Honest responders respect the wire caps. A dedup set past the
-        // entry cap cannot be shipped at all (no fetcher would decode the
-        // frame), while an oversized suffix can simply be truncated — the
-        // fetcher lands earlier and re-fetches. Per-origin compaction
-        // keeps honest sets at O(origins + reorder residue), far below
-        // the cap for any realistic deployment lifetime.
-        if state.executed.wire_entries() > crate::wire::MAX_WIRE_EXECUTED {
-            return;
-        }
-        // Amplification bound: a requester gets at most
-        // [`MAX_SERVES_PER_STABLE`] full responses per stable checkpoint; a
-        // `FetchState`-spamming peer cannot extract more large messages
-        // until the group's next boundary stabilizes.
-        let stable = state.seq;
-        let served = self.served_fetches.entry(from).or_insert((stable, 0));
-        if served.0 != stable {
-            *served = (stable, 0);
-        }
-        if served.1 >= MAX_SERVES_PER_STABLE {
-            return;
-        }
-        served.1 += 1;
-        let state = self.latest_stable.as_ref().expect("checked above");
-        let mut suffix: Vec<SuffixSlot> = self
-            .log
-            .executed_suffix(state.seq, self.last_exec)
-            .into_iter()
-            .map(|(seq, batch)| SuffixSlot { seq, batch })
-            .collect();
-        suffix.truncate(crate::wire::MAX_WIRE_SUFFIX);
-        out.push(Action::Send(
-            from,
-            Msg::StateResponse(StateResponseMsg {
-                seq: state.seq,
-                view: self.view,
-                exec_chain: state.exec_chain,
-                manifest: state.manifest.clone(),
-                executed: state.executed.clone(),
-                suffix,
-                replica: self.id,
-            }),
-        ));
-    }
-
-    /// Handles a `StateResponse`. Only the checkpoint part is covered by
-    /// the `f + 1`-voucher digest check, so the rest of the frame is never
-    /// trusted from a single responder: suffix slots are held back until
-    /// `f + 1` distinct responders sent identical copies
-    /// ([`Replica::try_replay_suffix`]), and the view field only counts as
-    /// one report toward the `f + 1` needed to rejoin a later view
-    /// ([`Replica::adopt_reported_view`]).
-    fn handle_state_response(
-        &mut self,
-        from: ReplicaId,
-        sr: StateResponseMsg,
-        out: &mut Vec<Action>,
-    ) {
-        if from != sr.replica || from == self.id || from.0 >= self.cfg.n {
-            return;
-        }
-        // Honest checkpoints sit on interval boundaries; anything else
-        // could only grow the vote maps.
-        if sr.seq.0 == 0 || !sr.seq.0.is_multiple_of(self.cfg.checkpoint_interval) {
-            self.obs_flight(FlightKind::StateRejected, sr.seq.0, 0);
-            return;
-        }
-        if sr.seq < self.stable_seq {
-            return; // older than what we already hold
-        }
-        self.reported_views.insert(from, sr.view);
-        self.record_suffix_votes(&sr, from);
-        let mut installed = false;
-        if sr.seq > self.stable_seq && sr.seq > self.last_exec {
-            let digest = checkpoint_digest(sr.seq, &sr.manifest, &sr.executed, &sr.exec_chain);
-            // The response itself is the sender's implicit checkpoint vote.
-            self.record_checkpoint_vote(sr.seq, digest, from);
-            let votes = self
-                .checkpoint_votes
-                .get(&sr.seq)
-                .and_then(|per| per.get(&digest))
-                .map_or(0, HashSet::len);
-            if votes > self.cfg.f() as usize {
-                installed = self.begin_page_fetch(from, sr, digest, out);
-            }
-        }
-        // Responses matching an already-installed checkpoint keep feeding
-        // suffix copies and view reports; replay whatever just reached the
-        // `f + 1` bar.
-        if self.try_replay_suffix(out) || installed {
+        if transfer.progressed {
             self.post_transfer_progress(out);
         }
-        self.adopt_reported_view(out);
-    }
-
-    /// Starts (or continues) the page transfer toward the certified
-    /// checkpoint of `sr`: fills every page the local content-addressed
-    /// store already holds, then asks `from` for the rest in
-    /// [`MAX_PAGES_PER_FETCH`]-bounded ranges. Installs immediately — and
-    /// returns `true` — when nothing is missing (the warm-restart and
-    /// digest-identical-peer fast path: zero pages travel).
-    fn begin_page_fetch(
-        &mut self,
-        from: ReplicaId,
-        sr: StateResponseMsg,
-        digest: Digest32,
-        out: &mut Vec<Action>,
-    ) -> bool {
-        if let Some(pf) = &self.page_fetch {
-            if pf.seq == sr.seq && pf.digest == digest {
-                // Same certified target: ask this responder too for
-                // whatever is still missing and unclaimed this round.
-                self.request_missing_pages(from, out);
-                return false;
-            }
-            if pf.seq >= sr.seq {
-                // A stale (or equal-seq; two digests cannot both reach
-                // `f + 1` with at most `f` faults) response must not
-                // displace the newer in-flight target.
-                return false;
-            }
-        }
-        let manifest = sr.manifest;
-        let pages: Vec<Option<Bytes>> = (0..manifest.len())
-            .map(|i| {
-                manifest
-                    .digest(i)
-                    .and_then(|d| self.page_store.get(d))
-                    .cloned()
-            })
-            .collect();
-        let missing = pages.iter().filter(|p| p.is_none()).count();
-        // The manifest is now `f + 1`-certified: the transfer has a trusted
-        // page-by-page work list (`count` = pages still to travel).
-        self.obs_proto(ProtoFamily::Xfer, sr.seq.0, 1, missing as u64);
-        let requested = vec![false; pages.len()];
-        let pf = PageFetch {
-            seq: sr.seq,
-            digest,
-            exec_chain: sr.exec_chain,
-            executed: sr.executed,
-            manifest,
-            pages,
-            requested,
-            missing,
-        };
-        if missing == 0 {
-            let snapshot = assemble_pages(&pf);
-            self.install_checkpoint(
-                pf.seq,
-                pf.exec_chain,
-                digest,
-                pf.manifest,
-                snapshot,
-                pf.executed,
-                out,
-            );
-            return true;
-        }
-        self.page_fetch = Some(pf);
-        self.request_missing_pages(from, out);
-        false
-    }
-
-    /// Sends `to` range-bounded `FetchPages` requests for every page that
-    /// is missing and not already requested from some responder this round,
-    /// marking the asked pages so redundant responders are not all asked
-    /// for the same range.
-    fn request_missing_pages(&mut self, to: ReplicaId, out: &mut Vec<Action>) {
-        let Some(pf) = &mut self.page_fetch else {
-            return;
-        };
-        let mut i = 0;
-        while i < pf.pages.len() {
-            if pf.pages[i].is_some() || pf.requested[i] {
-                i += 1;
-                continue;
-            }
-            let first = i;
-            let mut count: u32 = 0;
-            while i < pf.pages.len()
-                && pf.pages[i].is_none()
-                && !pf.requested[i]
-                && count < MAX_PAGES_PER_FETCH
-            {
-                pf.requested[i] = true;
-                count += 1;
-                i += 1;
-            }
-            out.push(Action::Send(
-                to,
-                Msg::FetchPages(FetchPagesMsg {
-                    seq: pf.seq,
-                    first: first as u32,
-                    count,
-                    replica: self.id,
-                }),
-            ));
+        if let Some(v) = transfer.view {
+            self.adopt_reported_view(v, out);
         }
     }
 
-    /// Serves a range of stable-checkpoint pages. Honest requests name the
-    /// current stable boundary with an in-range, non-empty,
-    /// cap-respecting range; anything else is silently refused, and a
-    /// per-requester budget (two full transfers per stable checkpoint)
-    /// bounds the amplification a spamming peer can extract.
-    fn handle_fetch_pages(&mut self, from: ReplicaId, fp: FetchPagesMsg, out: &mut Vec<Action>) {
-        if from != fp.replica || from == self.id || from.0 >= self.cfg.n {
-            return;
-        }
-        if fp.count == 0 || fp.count > MAX_PAGES_PER_FETCH {
-            return;
-        }
-        let Some(state) = &self.latest_stable else {
-            return;
-        };
-        if state.seq != fp.seq {
-            return; // stale target; the fetcher will rediscover via FetchState
-        }
-        let first = fp.first as usize;
-        let count = fp.count as usize;
-        let Some(end) = first.checked_add(count) else {
-            return;
-        };
-        if end > state.manifest.len() {
-            return;
-        }
-        let budget = (state.manifest.len() as u64 * 2).max(MIN_PAGE_BUDGET);
-        let served = self.served_pages.entry(from).or_insert((state.seq, 0));
-        if served.0 != state.seq {
-            *served = (state.seq, 0);
-        }
-        if served.1.saturating_add(count as u64) > budget {
-            return;
-        }
-        served.1 += count as u64;
-        let state = self.latest_stable.as_ref().expect("checked above");
-        let pages = (first..end)
-            .map(|i| page_slice(&state.snapshot, &state.manifest, i))
-            .collect();
-        out.push(Action::Send(
-            from,
-            Msg::PageResponse(PageResponseMsg {
-                seq: fp.seq,
-                first: fp.first,
-                pages,
-                replica: self.id,
-            }),
-        ));
-    }
-
-    /// Absorbs a page range into the in-flight fetch. Every page is
-    /// verified against the `f + 1`-vouched manifest before it fills a
-    /// slot; unsolicited frames, wrong-target frames, empty or over-cap
-    /// frames, out-of-range ranges, duplicates of filled slots, and
-    /// digest-mismatched pages are all rejected *and counted* — a
-    /// Byzantine responder's misbehavior is observable, never installable.
-    /// When the last page fills, the checkpoint assembles and installs.
-    fn handle_page_response(
-        &mut self,
-        from: ReplicaId,
-        pr: PageResponseMsg,
-        out: &mut Vec<Action>,
-    ) {
-        if from != pr.replica || from == self.id || from.0 >= self.cfg.n {
-            return;
-        }
-        let Some(pf) = &mut self.page_fetch else {
-            self.page_counters.rejected += 1; // unsolicited
-            push_obs(
-                &mut self.obs_events,
-                ObsEvent::Flight {
-                    kind: FlightKind::PageRejected,
-                    a: pr.first as u64,
-                    b: 0,
-                },
-            );
-            return;
-        };
-        let in_range = (pr.first as usize)
-            .checked_add(pr.pages.len())
-            .is_some_and(|end| end <= pf.manifest.len());
-        if pr.seq != pf.seq
-            || pr.pages.is_empty()
-            || pr.pages.len() > MAX_PAGES_PER_FETCH as usize
-            || !in_range
-        {
-            self.page_counters.rejected += 1;
-            push_obs(
-                &mut self.obs_events,
-                ObsEvent::Flight {
-                    kind: FlightKind::PageRejected,
-                    a: pr.first as u64,
-                    b: 0,
-                },
-            );
-            return;
-        }
-        for (k, bytes) in pr.pages.iter().enumerate() {
-            let i = pr.first as usize + k;
-            if pf.pages[i].is_some() {
-                self.page_counters.rejected += 1; // duplicate
-                continue;
-            }
-            if !pf.manifest.verify_page(i, bytes) {
-                self.page_counters.rejected += 1;
-                push_obs(
-                    &mut self.obs_events,
-                    ObsEvent::Flight {
-                        kind: FlightKind::PageRejected,
-                        a: i as u64,
-                        b: 0,
-                    },
-                );
-                // Re-ask another responder without waiting for a new round.
-                pf.requested[i] = false;
-                continue;
-            }
-            self.page_counters.fetched += 1;
-            self.page_counters.verified += 1;
-            self.page_store
-                .insert(*pf.manifest.digest(i).expect("in range"), bytes.clone());
-            pf.pages[i] = Some(bytes.clone());
-            pf.missing -= 1;
-        }
-        if self.page_fetch.as_ref().is_some_and(|p| p.missing == 0) {
-            let pf = self.page_fetch.take().expect("checked above");
-            self.obs_proto(ProtoFamily::Xfer, pf.seq.0, 2, pf.manifest.len() as u64);
-            if pf.seq > self.stable_seq && pf.seq > self.last_exec {
-                let snapshot = assemble_pages(&pf);
-                self.install_checkpoint(
-                    pf.seq,
-                    pf.exec_chain,
-                    pf.digest,
-                    pf.manifest,
-                    snapshot,
-                    pf.executed,
-                    out,
-                );
-                self.try_replay_suffix(out);
-            }
-            // Else execution caught up past the fetch target while pages
-            // were in flight: installing now would jump state backward, so
-            // the completed fetch is simply dropped.
-            self.post_transfer_progress(out);
-        }
-    }
-
-    /// Records one responder's claimed suffix slots for
-    /// [`Replica::try_replay_suffix`]. Bounded regardless of peer behavior:
-    /// only slots within one watermark window above the response's
-    /// checkpoint count, a responder re-voting a slot replaces its earlier
-    /// claim, replayed slots are pruned, and far-future overflow is evicted
-    /// first (the slots closest to our frontier are the next to replay).
-    fn record_suffix_votes(&mut self, sr: &StateResponseMsg, from: ReplicaId) {
-        let horizon = Seq(sr.seq.0.saturating_add(self.cfg.watermark_window));
-        for slot in &sr.suffix {
-            if slot.seq <= self.last_exec || slot.seq <= sr.seq || slot.seq > horizon {
-                continue;
-            }
-            let digest = slot.batch.digest();
-            let votes = self.suffix_votes.entry(slot.seq).or_default();
-            if let Some(prev) = votes.by_replica.insert(from, digest) {
-                if prev != digest && !votes.by_replica.values().any(|d| *d == prev) {
-                    votes.batches.remove(&prev);
-                }
-            }
-            votes
-                .batches
-                .entry(digest)
-                .or_insert_with(|| slot.batch.clone());
-        }
-        let cap = self.cfg.watermark_window as usize + 16;
-        while self.suffix_votes.len() > cap {
-            self.suffix_votes.pop_last();
-        }
-    }
-
-    /// Replays contiguous suffix slots whose batch `f + 1` distinct
-    /// responders agree on: at least one of them is correct, and a correct
-    /// replica only ever puts committed slots in a suffix. Tie-breaking is
-    /// deterministic (vote count, then digest), though with at most `f`
-    /// faulty replicas two digests can never both reach `f + 1`. Returns
-    /// whether any slot replayed; the caller owns
-    /// [`Replica::post_transfer_progress`].
-    fn try_replay_suffix(&mut self, out: &mut Vec<Action>) -> bool {
-        let need = self.cfg.f() as usize + 1;
-        let mut progressed = false;
-        loop {
-            let next = self.last_exec.next();
-            while self
-                .suffix_votes
-                .first_key_value()
-                .is_some_and(|(s, _)| *s < next)
-            {
-                self.suffix_votes.pop_first();
-            }
-            let Some(votes) = self.suffix_votes.get(&next) else {
-                break;
-            };
-            let best = votes
-                .batches
-                .keys()
-                .map(|d| {
-                    let count = votes.by_replica.values().filter(|v| **v == *d).count();
-                    (count, *d)
-                })
-                .max();
-            let Some((count, digest)) = best else {
-                break;
-            };
-            if count < need {
-                break;
-            }
-            let batch = self
-                .suffix_votes
-                .remove(&next)
-                .and_then(|mut v| v.batches.remove(&digest))
-                .expect("tallied batch present");
-            self.apply_transferred_slot(next, batch, out);
-            progressed = true;
-        }
-        progressed
-    }
-
-    /// Rejoins a later view on `f + 1` distinct `StateResponse` reports:
-    /// the `(f + 1)`-th highest reported view is one at least one correct
-    /// replica really reached (views only advance), so a rebooted replica
-    /// rejoins the live primary without trusting any single responder.
+    /// Rejoins `v`, a view `f + 1` distinct `StateResponse` senders report
+    /// (the `(f + 1)`-th highest, so one at least one correct replica
+    /// really reached): a rebooted replica rejoins the live primary
+    /// without trusting any single responder.
     ///
     /// The same evidence also *abandons a stale view change*: a replica
     /// that voted for ever-higher views while partitioned away (its timer
@@ -1642,68 +936,24 @@ impl Replica {
     /// quorum before the drop lands — is subsumed by this
     /// implementation's documented structural trust in the new-view
     /// primary's re-proposals (see the crate-level trust-boundary note).
-    fn adopt_reported_view(&mut self, out: &mut Vec<Action>) {
-        let f = self.cfg.f() as usize;
-        if self.reported_views.len() <= f {
-            return;
-        }
-        let mut views: Vec<View> = self.reported_views.values().copied().collect();
-        views.sort_unstable_by(|a, b| b.cmp(a));
-        let v = views[f];
+    fn adopt_reported_view(&mut self, v: View, out: &mut Vec<Action>) {
         if v > self.view || (self.in_view_change && v >= self.view) {
             self.enter_view(v.max(self.view), out);
         }
     }
 
-    /// Installs a fetched checkpoint whose digest is vouched for by
-    /// `f + 1` distinct replicas (so at least one correct replica holds
-    /// exactly this state); `snapshot` was assembled from pages that each
-    /// verified against the vouched manifest. The committed log suffix is
-    /// *not* installed here — it replays separately, slot by slot, as
-    /// copies reach the `f + 1` bar ([`Replica::try_replay_suffix`]).
-    #[allow(clippy::too_many_arguments)]
-    fn install_checkpoint(
-        &mut self,
-        seq: Seq,
-        exec_chain: Digest32,
-        digest: Digest32,
-        manifest: PageManifest,
-        snapshot: Bytes,
-        executed: ExecutedSet,
-        out: &mut Vec<Action>,
-    ) {
-        self.obs_flight(FlightKind::StateInstalled, seq.0, manifest.len() as u64);
-        self.obs_proto(ProtoFamily::Xfer, seq.0, 3, manifest.len() as u64);
-        // Jump the protocol state to the verified checkpoint; reads stay
-        // gated until the committed suffix replays.
-        self.recovering = true;
+    /// Jumps the agreement state to a checkpoint the sub-machine verified
+    /// and made stable. The committed log suffix is *not* installed here —
+    /// it replays separately, slot by slot.
+    fn install_checkpoint(&mut self, checkpoint: Install, out: &mut Vec<Action>) {
+        let seq = checkpoint.seq;
         self.last_exec = seq;
-        self.exec_chain = exec_chain;
-        self.stable_seq = seq;
-        self.stable_digest = digest;
+        self.exec_chain = checkpoint.exec_chain;
         self.log.gc_below(seq);
-        self.own_checkpoints = self.own_checkpoints.split_off(&seq);
-        self.own_checkpoints.insert(seq, digest);
-        self.checkpoint_votes = self.checkpoint_votes.split_off(&seq.next());
-        self.gc_ckpt_vote_index(seq);
-        self.pending_boundaries = self.pending_boundaries.split_off(&seq.next());
-        self.pending_states = self.pending_states.split_off(&seq.next());
-        // Any older in-flight page fetch is obsolete.
-        self.page_fetch = None;
-        self.rebuild_page_store(&snapshot, &manifest);
-        // The installed state is the next incremental-hashing diff base.
-        self.last_hashed = Some((snapshot.clone(), manifest.clone()));
-        self.latest_stable = Some(CheckpointState {
-            seq,
-            exec_chain,
-            snapshot: snapshot.clone(),
-            manifest,
-            executed: executed.clone(),
-        });
         // Adopt the transferred dedup set so replayed or re-proposed
         // requests are filtered exactly as at the peers, and drop live
         // entries the set already covers.
-        self.executed = executed;
+        self.executed = checkpoint.executed;
         let covered: Vec<RequestId> = self
             .requests
             .keys()
@@ -1715,18 +965,16 @@ impl Replica {
             self.outstanding = self.outstanding.saturating_sub(1);
             self.queue.retain(|q| *q != id);
         }
+        let snapshot = checkpoint.snapshot;
         out.push(Action::InstallState { seq, snapshot });
         out.push(Action::Stable(seq));
     }
 
-    /// Shared tail of checkpoint installation and suffix replay: clear a
-    /// satisfied fetch, re-aim the proposal counter, reset the liveness
-    /// timer, and pick up whatever the jump unblocked.
+    /// Shared tail of checkpoint installation and suffix replay: let the
+    /// sub-machine close a satisfied fetch, re-aim the proposal counter,
+    /// reset the liveness timer, and pick up whatever the jump unblocked.
     fn post_transfer_progress(&mut self, out: &mut Vec<Action>) {
-        if self.fetch_target.is_some_and(|t| t <= self.last_exec) {
-            self.fetch_target = None;
-        }
-        self.maybe_finish_recovery();
+        self.ckpt.transfer_progressed(self.last_exec);
         self.next_seq = self.next_seq.max(self.last_exec);
         out.push(Action::ViewTimer(if self.outstanding == 0 {
             TimerCmd::Stop
@@ -1740,119 +988,6 @@ impl Replica {
             self.drain_queue(false, out);
         }
         self.update_batch_timer(out);
-    }
-
-    /// Re-opens the read-only fast path once a solicited transfer is fully
-    /// absorbed: the fetch target (if any) is satisfied, no page transfer
-    /// is mid-flight, and no further committed-suffix slot is pending
-    /// replay. A Byzantine responder parking a bogus vote on the next slot
-    /// can keep this replica's fast path closed (a liveness-only
-    /// degradation at one replica — reads fall back to the ordered path);
-    /// it cannot reopen it early.
-    fn maybe_finish_recovery(&mut self) {
-        // A page fetch whose target execution has already passed is moot
-        // (installing it would jump state backward); drop it rather than
-        // let it gate reads forever.
-        if self
-            .page_fetch
-            .as_ref()
-            .is_some_and(|p| p.seq <= self.last_exec)
-        {
-            self.page_fetch = None;
-        }
-        if self.recovering
-            && self.fetch_target.is_none()
-            && self.page_fetch.is_none()
-            && !self.suffix_votes.contains_key(&self.last_exec.next())
-        {
-            self.recovering = false;
-        }
-    }
-
-    /// Applies one state-transferred slot: chains the execution digest,
-    /// dedups, delivers, and re-enters the checkpoint cadence at
-    /// boundaries.
-    fn apply_transferred_slot(&mut self, seq: Seq, batch: Batch, out: &mut Vec<Action>) {
-        let digest = batch.digest();
-        let slot = self.log.slot_mut(seq);
-        slot.pre_prepare = Some((self.view, digest, batch.clone()));
-        slot.executed = true;
-        slot.commit_sent = true;
-        self.last_exec = seq;
-        let mut h = Sha256::new();
-        h.update(self.exec_chain.as_bytes());
-        h.update_u64(seq.0);
-        h.update(digest.as_bytes());
-        self.exec_chain = h.finalize();
-        let mut fresh = Vec::new();
-        for request in batch.requests {
-            let first_time = self.executed.insert(request.id);
-            if self.requests.remove(&request.id).is_some() {
-                self.outstanding = self.outstanding.saturating_sub(1);
-                self.queue.retain(|q| *q != request.id);
-            }
-            // Unknown-but-agreed requests also deliver; `outstanding` is
-            // only adjusted for entries this replica had counted.
-            if first_time {
-                fresh.push(request);
-            }
-        }
-        if !fresh.is_empty() {
-            out.push(Action::Execute { seq, batch: fresh });
-        }
-        // `via_transfer`: this slot landed through an `f + 1`-agreed suffix
-        // copy, not a local commit certificate, so the auditor must not
-        // demand a covering prepare sighting for it.
-        self.obs_audit(AuditEvent::Committed {
-            seq: seq.0,
-            digest: fold_digest(&digest),
-            via_transfer: true,
-        });
-        if seq.0.is_multiple_of(self.cfg.checkpoint_interval) {
-            self.request_checkpoint(seq, out);
-        }
-    }
-
-    fn try_stabilize(&mut self, seq: Seq, out: &mut Vec<Action>) {
-        if seq <= self.stable_seq {
-            return;
-        }
-        let Some(own) = self.own_checkpoints.get(&seq).copied() else {
-            return;
-        };
-        let quorum = self
-            .checkpoint_votes
-            .get(&seq)
-            .and_then(|per_digest| per_digest.get(&own))
-            .is_some_and(|voters| voters.len() >= self.cfg.checkpoint_quorum());
-        if !quorum {
-            return;
-        }
-        self.stable_seq = seq;
-        self.stable_digest = own;
-        self.obs_flight(FlightKind::CheckpointStable, seq.0, 0);
-        self.obs_proto(ProtoFamily::Ckpt, seq.0, 1, 0);
-        self.obs_audit(AuditEvent::CheckpointStable {
-            seq: seq.0,
-            digest: fold_digest(&own),
-        });
-        self.log.gc_below(seq);
-        self.own_checkpoints = self.own_checkpoints.split_off(&seq);
-        self.checkpoint_votes = self.checkpoint_votes.split_off(&seq.next());
-        self.gc_ckpt_vote_index(seq);
-        // Promote the full state to serve FetchState; drop older retained
-        // checkpoints (and boundaries the harness never answered).
-        if let Some(state) = self.pending_states.remove(&seq) {
-            self.latest_stable = Some(state);
-        }
-        self.pending_states = self.pending_states.split_off(&seq.next());
-        self.pending_boundaries = self.pending_boundaries.split_off(&seq.next());
-        out.push(Action::Stable(seq));
-        // The watermark advanced: the primary can seal queued batches that
-        // were blocked on the window.
-        if self.is_primary() && !self.in_view_change {
-            self.drain_queue(false, out);
-        }
     }
 
     /// Withdraws a not-yet-ordered request (e.g. a Perpetual result proposal
@@ -1885,15 +1020,16 @@ impl Replica {
     }
 
     fn start_view_change(&mut self, target: View, out: &mut Vec<Action>) {
-        self.obs_flight(FlightKind::ViewChangeStarted, self.view.0, target.0);
-        self.obs_proto(ProtoFamily::Vc, target.0, 0, 0);
+        self.obs
+            .flight(FlightKind::ViewChangeStarted, self.view.0, target.0);
+        self.obs.proto(ProtoFamily::Vc, target.0, 0, 0);
         self.in_view_change = true;
         self.vc_target = target;
         // The primary role is suspended until the new view installs.
         self.update_batch_timer(out);
         let prepared = self
             .log
-            .prepared_above(self.stable_seq, &self.cfg)
+            .prepared_above(self.stable_seq(), &self.cfg)
             .into_iter()
             .map(|(seq, view, digest, batch)| PreparedClaim {
                 view,
@@ -1904,8 +1040,8 @@ impl Replica {
             .collect();
         let vc = ViewChangeMsg {
             new_view: target,
-            stable_seq: self.stable_seq,
-            stable_digest: self.stable_digest,
+            stable_seq: self.stable_seq(),
+            stable_digest: self.stable_digest(),
             prepared,
             replica: self.id,
         };
@@ -2012,7 +1148,7 @@ impl Replica {
         self.next_seq = max_s;
         // Install our own re-proposals.
         for pp in pre_prepares {
-            self.obs_audit(AuditEvent::PrePrepare {
+            self.obs.audit(AuditEvent::PrePrepare {
                 view: pp.view.0,
                 seq: pp.seq.0,
                 digest: fold_digest(&pp.digest),
@@ -2049,18 +1185,14 @@ impl Replica {
 
     fn enter_view(&mut self, v: View, out: &mut Vec<Action>) {
         self.view = v;
-        self.obs_flight(FlightKind::EnteredView, v.0, 0);
+        self.obs.flight(FlightKind::EnteredView, v.0, 0);
         // Installing view `v` also retires every still-open view-change
         // span below `v` (the recorder closes them as "abandoned").
-        self.obs_proto(ProtoFamily::Vc, v.0, 1, 0);
+        self.obs.proto(ProtoFamily::Vc, v.0, 1, 0);
         self.in_view_change = false;
         self.vc_target = v;
         self.view_changes = self.view_changes.split_off(&v.next());
-        // View reports served their purpose: abandoning a *future* view
-        // change (adopt_reported_view) must rest on fresh evidence
-        // gathered after this entry, never on reports from a bygone era
-        // in which the reported view was still live.
-        self.reported_views.clear();
+        self.ckpt.entered_view();
         // The old view's batch accumulator is stale; `repropose_pending`
         // rebuilds it (or forwards) from the demoted request states below.
         self.queue.clear();
@@ -2120,11 +1252,15 @@ impl Replica {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::checkpoint::{MAX_SERVES_PER_STABLE, MIN_PAGE_BUDGET};
+    use crate::messages::{
+        checkpoint_digest, CheckpointMsg, FetchPagesMsg, FetchStateMsg, PageResponseMsg,
+        StateResponseMsg, SuffixSlot,
+    };
+    use crate::pages::{PageManifest, MAX_PAGES_PER_FETCH};
 
     fn req(c: u64) -> Request {
         Request::new(RequestId::new(1, c), Bytes::from(format!("op-{c}")))
@@ -2186,8 +1322,7 @@ mod tests {
                 | Action::Stable(_)
                 | Action::EnteredView(_)
                 | Action::ViewTimer(_)
-                | Action::BatchTimer(_)
-                | Action::ReadOnly(_) => {}
+                | Action::BatchTimer(_) => {}
             }
         }
     }
@@ -2421,6 +1556,45 @@ mod tests {
             assert!(!rs[i].in_view_change());
         }
         assert_eq!(rs[1].primary(), ReplicaId(1));
+    }
+
+    /// Runs one fresh group through a primary crash — a request reaches
+    /// only the backups, their view timers fire — and returns the wire
+    /// bytes of every `NewView` the election produced.
+    fn new_views_after_primary_crash() -> Vec<Bytes> {
+        let mut rs = group(4);
+        let mut inbox = VecDeque::new();
+        let mut executed = vec![Vec::new(); 4];
+        submit(&mut rs, 1, req(1), &mut inbox, &mut executed);
+        for i in 1..4 {
+            let actions = rs[i].on_view_timer();
+            route(&mut rs, i, actions, &mut inbox, &mut executed);
+        }
+        let mut new_views = Vec::new();
+        while let Some((to, from, msg)) = inbox.pop_front() {
+            if to == 0 {
+                continue; // the crashed primary hears nothing
+            }
+            if to == 2 && matches!(msg, Msg::NewView(_)) {
+                new_views.push(crate::wire::encode_msg(&msg)); // one copy per broadcast
+            }
+            let actions = rs[to].on_message(from, msg);
+            route(&mut rs, to, actions, &mut inbox, &mut executed);
+        }
+        assert!(rs[1..].iter().all(|r| r.view() == View(1)));
+        new_views
+    }
+
+    #[test]
+    fn new_view_bytes_are_identical_across_independent_runs() {
+        // The voter list of a NewView comes out of the view-change vote
+        // map; iterating a hash map there made the bytes differ between
+        // two runs of one schedule.
+        let first = new_views_after_primary_crash();
+        assert!(!first.is_empty(), "the schedule elects a new primary");
+        for run in 1..8 {
+            assert_eq!(new_views_after_primary_crash(), first, "run {run}");
+        }
     }
 
     #[test]
@@ -2737,7 +1911,7 @@ mod tests {
 
         // A matching checkpoint vote from a second replica makes f + 1:
         // the cold fetcher asks the responder for every page it lacks.
-        let digest = crate::messages::checkpoint_digest(Seq(8), &manifest, &executed, &chain);
+        let digest = checkpoint_digest(Seq(8), &manifest, &executed, &chain);
         let _ = target.on_message(
             ReplicaId(2),
             Msg::Checkpoint(CheckpointMsg {
@@ -2848,7 +2022,7 @@ mod tests {
         cfg.checkpoint_interval = 8;
         let mut target = Replica::new(ReplicaId(3), cfg);
         target.seed_page_store([Bytes::from_static(b"state")]);
-        let digest = crate::messages::checkpoint_digest(
+        let digest = checkpoint_digest(
             Seq(8),
             &test_manifest(),
             &ExecutedSet::new(),
@@ -3004,36 +2178,56 @@ mod tests {
         assert_eq!(target.view(), View(0), "still in the group's view");
     }
 
+    // ---- The checkpoint sub-machine, alone ----
+
+    /// A lone sub-machine — replica 0 of four, no agreement core, no
+    /// peers — holding the stable checkpoint 8 over `test_snapshot`: its
+    /// own vote plus the same digest from replicas 1 and 2 is the `2f + 1`.
+    fn stable_at_8(page_size: u32) -> Checkpoints {
+        let mut cfg = Config::new(4);
+        cfg.checkpoint_interval = 8;
+        cfg.page_size = page_size;
+        let mut obs = Obs::new(&cfg);
+        let mut cp = Checkpoints::new(ReplicaId(0), cfg);
+        let mut out = Vec::new();
+        cp.capture_boundary(Seq(8), Digest32::ZERO, ExecutedSet::new());
+        let mut stable = cp.on_snapshot(Seq(8), test_snapshot(Seq(8)), &mut obs, &mut out);
+        assert_eq!(stable, None, "one vote is no quorum");
+        let Some(Action::Broadcast(Msg::Checkpoint(own))) = out.pop() else {
+            panic!("a snapshot is answered with this replica's vote");
+        };
+        for i in [1, 2] {
+            let vote = CheckpointMsg {
+                replica: ReplicaId(i),
+                ..own
+            };
+            stable = cp.on_checkpoint(ReplicaId(i), vote, Seq(8), &mut obs, &mut out);
+        }
+        assert_eq!(stable, Some(Seq(8)));
+        assert_eq!(cp.stable_seq(), Seq(8));
+        cp
+    }
+
     #[test]
     fn fetch_responses_are_rate_limited_per_stable_checkpoint() {
-        // Drive a group past a checkpoint so replica 0 holds a stable
-        // state, then spam it with FetchState from the same requester: at
-        // most MAX_SERVES_PER_STABLE responses may go out.
-        let mut rs = group_with(4, |c| {
-            c.max_batch_size = 1;
-            c.checkpoint_interval = 8;
-        });
-        let mut inbox = VecDeque::new();
-        let mut executed = vec![Vec::new(); 4];
-        for c in 1..=10 {
-            submit(&mut rs, 0, req(c), &mut inbox, &mut executed);
-        }
-        run_to_quiescence(&mut rs, inbox, &[]);
-        assert_eq!(rs[0].stable_seq(), Seq(8));
+        // Spam a sub-machine that holds a stable state with FetchState from
+        // the same requester: at most MAX_SERVES_PER_STABLE responses may
+        // go out.
+        let mut cp = stable_at_8(crate::pages::DEFAULT_PAGE_SIZE);
         let fetch = FetchStateMsg {
             have: Seq::ZERO,
             replica: ReplicaId(3),
         };
-        let mut responses = 0;
+        let mut out = Vec::new();
         for _ in 0..10 {
-            let a = rs[0].on_message(ReplicaId(3), Msg::FetchState(fetch));
-            responses += a
-                .iter()
-                .filter(|x| matches!(x, Action::Send(_, Msg::StateResponse(_))))
-                .count();
+            cp.on_fetch_state(ReplicaId(3), fetch, View(0), |_| Vec::new(), &mut out);
         }
+        let responses = out
+            .iter()
+            .filter(|x| matches!(x, Action::Send(_, Msg::StateResponse(_))))
+            .count();
         assert_eq!(
-            responses, MAX_SERVES_PER_STABLE as usize,
+            responses as u64, MAX_SERVES_PER_STABLE,
             "FetchState spam must not amplify"
         );
     }
@@ -3065,12 +2259,7 @@ mod tests {
         cfg.page_size = 4;
         let mut target = Replica::new(ReplicaId(3), cfg);
         let manifest = PageManifest::compute(state, 4);
-        let digest = crate::messages::checkpoint_digest(
-            Seq(8),
-            &manifest,
-            &ExecutedSet::new(),
-            &Digest32::ZERO,
-        );
+        let digest = checkpoint_digest(Seq(8), &manifest, &ExecutedSet::new(), &Digest32::ZERO);
         let _ = target.on_message(
             ReplicaId(2),
             Msg::Checkpoint(CheckpointMsg {
@@ -3197,12 +2386,7 @@ mod tests {
         let mut target = Replica::new(ReplicaId(3), cfg);
         target.seed_page_store((0..4).map(|i| page_of(old, i)));
         let manifest = PageManifest::compute(ADV_STATE, 4);
-        let digest = crate::messages::checkpoint_digest(
-            Seq(8),
-            &manifest,
-            &ExecutedSet::new(),
-            &Digest32::ZERO,
-        );
+        let digest = checkpoint_digest(Seq(8), &manifest, &ExecutedSet::new(), &Digest32::ZERO);
         let _ = target.on_message(
             ReplicaId(2),
             Msg::Checkpoint(CheckpointMsg {
@@ -3257,31 +2441,20 @@ mod tests {
 
     #[test]
     fn page_requests_are_validated_and_budgeted() {
-        // Drive a group past a checkpoint so replica 0 can serve pages,
-        // then probe every responder-side guard.
-        let mut rs = group_with(4, |c| {
-            c.max_batch_size = 1;
-            c.checkpoint_interval = 8;
-            c.page_size = 2;
-        });
-        let mut inbox = VecDeque::new();
-        let mut executed = vec![Vec::new(); 4];
-        for c in 1..=10 {
-            submit(&mut rs, 0, req(c), &mut inbox, &mut executed);
-        }
-        run_to_quiescence(&mut rs, inbox, &[]);
-        assert_eq!(rs[0].stable_seq(), Seq(8));
+        // A sub-machine holding a stable checkpoint can serve pages: probe
+        // every responder-side guard.
+        let mut cp = stable_at_8(2);
         let total = test_snapshot(Seq(8)).len().div_ceil(2) as u32;
-        let fetch = |first: u32, count: u32| {
-            Msg::FetchPages(FetchPagesMsg {
-                seq: Seq(8),
-                first,
-                count,
-                replica: ReplicaId(3),
-            })
+        let fetch = |first: u32, count: u32| FetchPagesMsg {
+            seq: Seq(8),
+            first,
+            count,
+            replica: ReplicaId(3),
         };
-        let served_pages = |a: &[Action]| {
-            a.iter()
+        let mut serve = |from: u32, fp: FetchPagesMsg| {
+            let mut out = Vec::new();
+            cp.on_fetch_pages(ReplicaId(from), fp, &mut out);
+            out.iter()
                 .filter_map(|x| match x {
                     Action::Send(to, Msg::PageResponse(pr)) => {
                         assert_eq!(*to, ReplicaId(3));
@@ -3293,51 +2466,30 @@ mod tests {
                 .sum::<usize>()
         };
         // An honest full-range request serves every page.
-        let mut total_served = served_pages(&rs[0].on_message(ReplicaId(3), fetch(0, total)));
+        let mut total_served = serve(3, fetch(0, total));
         assert_eq!(total_served as u32, total);
         // Zero count, over-cap count, out-of-range, wrong boundary, and a
         // spoofed requester id: all refused outright.
-        assert_eq!(
-            served_pages(&rs[0].on_message(ReplicaId(3), fetch(0, 0))),
-            0
-        );
-        assert_eq!(
-            served_pages(&rs[0].on_message(ReplicaId(3), fetch(0, MAX_PAGES_PER_FETCH + 1))),
-            0
-        );
-        assert_eq!(
-            served_pages(&rs[0].on_message(ReplicaId(3), fetch(total, 1))),
-            0
-        );
-        let wrong_seq = Msg::FetchPages(FetchPagesMsg {
+        assert_eq!(serve(3, fetch(0, 0)), 0);
+        assert_eq!(serve(3, fetch(0, MAX_PAGES_PER_FETCH + 1)), 0);
+        assert_eq!(serve(3, fetch(total, 1)), 0);
+        let wrong_seq = FetchPagesMsg {
             seq: Seq(16),
-            first: 0,
-            count: 1,
-            replica: ReplicaId(3),
-        });
-        assert_eq!(served_pages(&rs[0].on_message(ReplicaId(3), wrong_seq)), 0);
-        let spoofed = Msg::FetchPages(FetchPagesMsg {
-            seq: Seq(8),
-            first: 0,
-            count: 1,
-            replica: ReplicaId(3),
-        });
-        assert!(!rs[0]
-            .on_message(ReplicaId(2), spoofed)
-            .iter()
-            .any(|x| matches!(x, Action::Send(_, Msg::PageResponse(_)))));
+            ..fetch(0, 1)
+        };
+        assert_eq!(serve(3, wrong_seq), 0);
+        assert_eq!(serve(2, fetch(0, 1)), 0, "names 3, sent by 2");
         // A spamming requester exhausts its per-stable page budget and is
         // then cut off entirely.
         for _ in 0..200 {
-            let a = rs[0].on_message(ReplicaId(3), fetch(0, total));
-            total_served += served_pages(&a);
+            total_served += serve(3, fetch(0, total));
         }
         assert!(
             total_served as u64 <= MIN_PAGE_BUDGET,
             "FetchPages spam must not amplify: {total_served} pages"
         );
         assert_eq!(
-            served_pages(&rs[0].on_message(ReplicaId(3), fetch(0, total))),
+            serve(3, fetch(0, total)),
             0,
             "budget stays exhausted until the next stable checkpoint"
         );
@@ -3347,36 +2499,32 @@ mod tests {
     fn far_future_checkpoint_votes_stay_bounded() {
         let mut cfg = Config::new(4);
         cfg.checkpoint_interval = 8;
-        let mut target = Replica::new(ReplicaId(3), cfg);
+        let mut obs = Obs::new(&cfg);
+        let mut target = Checkpoints::new(ReplicaId(3), cfg);
         let cap = target.max_tracked_ckpts();
+        let mut vote = |from: u32, seq: u64| {
+            let c = CheckpointMsg {
+                seq: Seq(seq),
+                state_digest: Digest32([9u8; 32]),
+                replica: ReplicaId(from),
+            };
+            let _ = target.on_checkpoint(ReplicaId(from), c, Seq::ZERO, &mut obs, &mut Vec::new());
+            target.tracked_vote_seqs()
+        };
         // A Byzantine peer votes for thousands of distinct far-future
         // boundaries; only its newest `cap` may remain tracked.
+        let mut tracked = Vec::new();
         for i in 1..=1_000u64 {
-            let _ = target.on_message(
-                ReplicaId(1),
-                Msg::Checkpoint(CheckpointMsg {
-                    seq: Seq(i * 8),
-                    state_digest: Digest32([9u8; 32]),
-                    replica: ReplicaId(1),
-                }),
-            );
+            tracked = vote(1, i * 8);
         }
         assert!(
-            target.checkpoint_votes.len() <= cap,
+            tracked.len() <= cap,
             "vote map grew to {} entries (cap {cap})",
-            target.checkpoint_votes.len()
+            tracked.len()
         );
         // Votes off the interval cadence are rejected outright.
-        let _ = target.on_message(
-            ReplicaId(2),
-            Msg::Checkpoint(CheckpointMsg {
-                seq: Seq(13),
-                state_digest: Digest32([9u8; 32]),
-                replica: ReplicaId(2),
-            }),
-        );
         assert!(
-            !target.checkpoint_votes.contains_key(&Seq(13)),
+            !vote(2, 13).contains(&Seq(13)),
             "non-boundary votes must not be tracked"
         );
     }
@@ -3459,39 +2607,7 @@ mod tests {
         assert!(rs[3].in_view_change());
     }
 
-    // ---- Read-only fast path ----
-
-    fn ro(c: u64) -> Request {
-        Request::read_only(RequestId::new(9, c), Bytes::from_static(b"get"))
-    }
-
-    #[test]
-    fn read_only_requests_consume_no_sequence_slot() {
-        let mut rs = group(4);
-        let mut inbox = VecDeque::new();
-        let mut executed = vec![Vec::new(); 4];
-        submit(&mut rs, 0, req(1), &mut inbox, &mut executed);
-        run_to_quiescence(&mut rs, inbox, &[]);
-        let frontier = rs[0].last_executed();
-        let next = rs[0].next_seq;
-        // A burst of reads at every replica: each answers straight from
-        // committed state — no protocol traffic, no ordering state touched.
-        for (i, rep) in rs.iter_mut().enumerate() {
-            for c in 0..50 {
-                let r = ro(c);
-                let a = rep.on_request(r.clone());
-                assert_eq!(a.len(), 1, "replica {i}: exactly one action: {a:?}");
-                assert!(matches!(&a[0], Action::ReadOnly(got) if got.id == r.id));
-            }
-            assert_eq!(rep.outstanding(), 0, "replica {i}");
-            assert_eq!(rep.queued(), 0, "replica {i}");
-        }
-        assert_eq!(
-            rs[0].next_seq, next,
-            "reads must not advance the proposal counter"
-        );
-        assert_eq!(rs[0].last_executed(), frontier);
-    }
+    // ---- Read-only fast path gate ----
 
     #[test]
     fn read_only_gate_closes_during_view_change() {
@@ -3500,8 +2616,6 @@ mod tests {
         let _ = rs[1].on_view_timer();
         assert!(rs[1].in_view_change());
         assert!(!rs[1].can_serve_reads());
-        let a = rs[1].on_request(ro(1));
-        assert!(a.is_empty(), "gated reads are dropped: {a:?}");
     }
 
     #[test]
@@ -3526,8 +2640,6 @@ mod tests {
         assert_eq!(target.last_executed(), Seq(8));
         assert!(target.state_transfer_in_progress());
         assert!(!target.can_serve_reads());
-        let a = target.on_request(ro(1));
-        assert!(a.is_empty(), "mid-transfer reads must be dropped: {a:?}");
         // The second matching copy replays the suffix; reads reopen.
         let _ = target.on_message(
             ReplicaId(0),

@@ -164,16 +164,15 @@ fn put_request(e: &mut Encoder, r: &Request) {
 fn get_request(d: &mut Decoder<'_>) -> Result<Request, WireError> {
     let origin = d.u64()?;
     let counter = d.u64()?;
-    // Flag bitfield: bit 0 read-only, bit 1 config. A plain request still
-    // encodes byte 0 and a read-only request byte 1, so pre-config frames
-    // decode (and re-encode) unchanged.
+    // Flag bitfield: bit 1 config; bit 0 is reserved-zero (reads never
+    // become requests), so a plain request encodes byte 0 and a config
+    // record byte 2. Anything else is rejected.
     let flags = d.u8()?;
-    if flags > 3 {
+    if flags & !2 != 0 {
         return Err(WireError::new("bad request flags"));
     }
     let payload = d.bytes()?;
     let mut req = Request::new(RequestId::new(origin, counter), payload);
-    req.read_only = flags & 1 != 0;
     req.config = flags & 2 != 0;
     Ok(req)
 }
@@ -508,10 +507,6 @@ mod tests {
     #[test]
     fn roundtrip_all_variants() {
         roundtrip(Msg::Forward(sample_request(1)));
-        roundtrip(Msg::Forward(Request::read_only(
-            RequestId::new(3, 7),
-            Bytes::from_static(b"read"),
-        )));
         let batch = Batch::new(vec![sample_request(1), sample_request(2)]);
         let pp = PrePrepareMsg {
             view: View(2),
@@ -759,16 +754,28 @@ mod tests {
         assert!(decode_msg(&bytes).is_err());
     }
 
-    #[test]
-    fn junk_request_flags_rejected() {
+    /// The decode error of a `Forward` frame whose request has `flags`.
+    fn forward_flags_error(flags: u8) -> String {
         let mut e = Encoder::new();
         e.put_u8(TAG_FORWARD);
         e.put_u64(1);
         e.put_u64(2);
-        e.put_u8(4); // flags must fit the two defined bits
+        e.put_u8(flags);
         e.put_bytes(b"x");
-        let err = decode_msg(&e.finish()).unwrap_err();
-        assert!(err.to_string().contains("request flags"), "{err}");
+        decode_msg(&e.finish()).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn junk_request_flags_rejected() {
+        // Only bit 1 (config) is defined.
+        assert!(forward_flags_error(4).contains("request flags"));
+    }
+
+    #[test]
+    fn reserved_request_flag_bit_zero_rejected() {
+        // No honest encoder sets bit 0, alone or beside the config bit.
+        assert!(forward_flags_error(1).contains("request flags"));
+        assert!(forward_flags_error(3).contains("request flags"));
     }
 
     #[test]
@@ -777,8 +784,8 @@ mod tests {
             RequestId::new(5, 11),
             Bytes::from_static(b"cfg"),
         )));
-        // The flag byte is a bitfield over the byte read-only used alone,
-        // so frames without config records are unchanged on the wire.
+        // Plain requests keep encoding flag byte 0, so frames without
+        // config records are unchanged on the wire.
         let plain = Msg::Forward(sample_request(1));
         let mut e = Encoder::new();
         e.put_u8(TAG_FORWARD);

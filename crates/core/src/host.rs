@@ -91,10 +91,9 @@ impl ServiceCtx<'_> {
     /// [`ServiceCtx::send`], but the marshalled payload is wrapped with the
     /// Perpetual **config** marker ([`pws_perpetual::CONFIG_PREFIX`]): the
     /// target voter group gives the request a CLBFT agreement slot of its
-    /// own (never batched), the slot is replayable through
-    /// `config_records_above_stable`, and the receiving host strips the
-    /// marker before the service sees the request. The transport for
-    /// transaction and resharding records (see [`crate::txn`]).
+    /// own (never batched), and the receiving host strips the marker
+    /// before the service sees the request. The transport for transaction
+    /// and resharding records (see [`crate::txn`]).
     pub fn send_config(&mut self, request: MessageContext) -> CallToken {
         self.send_impl(request, true)
     }

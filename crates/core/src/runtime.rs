@@ -63,20 +63,13 @@ impl UriMap {
     }
 
     /// Registers logical service `name` as sharded across `shards` (in
-    /// shard order), routed by `router`. Each shard is also registered
+    /// shard order), routed through `epoch`. Each shard is also registered
     /// directly under its shard-qualified name (`name#<k>`), so a caller
     /// that has already pinned a shard can address it like any service.
-    pub fn insert_sharded(&mut self, name: &str, shards: Vec<GroupId>, router: Arc<dyn Router>) {
-        let epoch = RouterEpoch::new(router, shards.len() as u32);
-        self.insert_sharded_elastic(name, shards, epoch, false);
-    }
-
-    /// [`UriMap::insert_sharded`] with an explicit [`RouterEpoch`] (whose
-    /// active count may be *smaller* than `shards.len()` — the suffix are
-    /// dormant spares awaiting live resharding) and a transaction flag:
-    /// when `txn` is set, cross-shard keys route to the first key's owner
-    /// (the 2PC coordinator) instead of raising
-    /// [`RouteError::CrossShard`].
+    /// The epoch's active count may be *smaller* than `shards.len()` — the
+    /// suffix are dormant spares awaiting live resharding. When `txn` is
+    /// set, cross-shard keys route to the first key's owner (the 2PC
+    /// coordinator) instead of raising [`RouteError::CrossShard`].
     pub fn insert_sharded_elastic(
         &mut self,
         name: &str,
@@ -454,22 +447,7 @@ impl SystemBuilder {
     /// Requests whose keys span shards are rejected with the typed
     /// [`RouteError::CrossShard`] (clients) or a deterministic abort
     /// fault (service outcalls) — single-shard operations only.
-    pub fn sharded<F>(&mut self, name: &str, shards: u32, n: u32, factory: F) -> &mut Self
-    where
-        F: FnMut(u32, u32) -> Box<dyn Service> + 'static,
-    {
-        self.sharded_with_router(name, shards, n, Arc::new(RendezvousRouter::new()), factory)
-    }
-
-    /// [`SystemBuilder::sharded`] with an explicit key [`Router`].
-    pub fn sharded_with_router<F>(
-        &mut self,
-        name: &str,
-        shards: u32,
-        n: u32,
-        router: Arc<dyn Router>,
-        mut factory: F,
-    ) -> &mut Self
+    pub fn sharded<F>(&mut self, name: &str, shards: u32, n: u32, mut factory: F) -> &mut Self
     where
         F: FnMut(u32, u32) -> Box<dyn Service> + 'static,
     {
@@ -479,7 +457,7 @@ impl SystemBuilder {
             n,
             shards,
             spares: 0,
-            router: Some(router),
+            router: Some(Arc::new(RendezvousRouter::new())),
             factory: Factory::ShardedService(Box::new(move |s, i| factory(s, i))),
             faults: HashMap::new(),
         });
@@ -825,7 +803,7 @@ impl SystemBuilder {
                         payload,
                         timeout,
                         sent: 0,
-                        send_times: HashMap::new(),
+                        send_times: BTreeMap::new(),
                         in_flight: HashMap::new(),
                         replies: Vec::new(),
                         latencies: Vec::new(),
@@ -1419,7 +1397,9 @@ pub struct ScriptedClient {
     payload: String,
     timeout: Option<SimDuration>,
     sent: u64,
-    send_times: HashMap<u64, SimTime>,
+    /// When each outstanding call was sent. Ordered, so the retry sweep
+    /// and the give-up pick below visit calls in the same order every run.
+    send_times: BTreeMap<u64, SimTime>,
     /// Outstanding calls' routing keys and how many `pws:WrongShard`
     /// redirects each has already followed (bounded at one).
     in_flight: HashMap<u64, (String, u8)>,

@@ -11,13 +11,12 @@ use crate::cost::CostModel;
 use crate::event::Event;
 use crate::executor::CallId;
 use crate::group::{GroupId, Topology};
-use crate::messages::{decode_pmsg, encode_pmsg, reply_digest, request_tag, PMsg};
+use crate::messages::{decode_pmsg, encode_pmsg, reply_digest, request_tag, PMsg, ShareVotes};
 use bytes::Bytes;
 use pws_crypto::auth::verify_bundle;
 use pws_crypto::keys::KeyTable;
-use pws_crypto::sha256::Digest32;
-use pws_simnet::{Context, SimDuration};
-use std::collections::{HashMap, HashSet};
+use pws_simnet::Context;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a client observes about one of its calls.
@@ -46,15 +45,6 @@ struct Pending {
     retries: u64,
 }
 
-/// Read-reply tally for one outstanding fast-path read: one counted vote
-/// per target replica (bounding a reply-flooding replica to a single entry)
-/// and a payload-count per digest.
-#[derive(Debug, Default)]
-struct ReadTally {
-    voted: HashSet<u32>,
-    by_digest: HashMap<Digest32, (Bytes, usize)>,
-}
-
 /// The calling half of a Perpetual driver, for unreplicated endpoints.
 #[derive(Debug)]
 pub struct ClientCore {
@@ -68,7 +58,7 @@ pub struct ClientCore {
     next_target_seq: HashMap<GroupId, u64>,
     pending: HashMap<u64, Pending>,
     /// Read-reply tallies for outstanding fast-path reads.
-    read_tallies: HashMap<u64, ReadTally>,
+    read_tallies: HashMap<u64, ShareVotes>,
 }
 
 impl ClientCore {
@@ -331,8 +321,12 @@ impl ClientCore {
         if share.reply_digest != reply_digest(&payload) {
             return None;
         }
-        let tally = self.read_tallies.entry(req_no).or_default();
-        if !tally.voted.insert(share.from.replica) {
+        if !self
+            .read_tallies
+            .entry(req_no)
+            .or_default()
+            .vote(share.from.replica)
+        {
             ctx.metrics().incr("clbft.ro.duplicate_votes");
             return None;
         }
@@ -343,26 +337,20 @@ impl ClientCore {
             ctx.metrics().incr("clbft.ro.shares_rejected");
             return None;
         }
+        let digest = share.reply_digest;
         let tally = self.read_tallies.get_mut(&req_no).expect("vote counted");
-        let (_, count) = tally
-            .by_digest
-            .entry(share.reply_digest)
-            .or_insert_with(|| (payload, 0));
-        *count += 1;
-        let count = *count;
+        let agreeing = tally.add(payload, share);
         let target_f = self.topology.f(target) as usize;
         let target_n = self.topology.n(target) as usize;
         let threshold = (2 * target_f + 1).min(target_n);
-        if count < threshold {
+        if agreeing < threshold {
             return None;
         }
-        let tally = self.read_tallies.remove(&req_no).expect("tally present");
-        let (payload, _) = tally
-            .by_digest
-            .into_iter()
-            .find(|(d, _)| *d == share.reply_digest)
-            .expect("quorum digest present")
-            .1;
+        let (payload, _) = self
+            .read_tallies
+            .remove(&req_no)
+            .and_then(|tally| tally.take(&digest))
+            .expect("quorum digest present");
         self.pending.get_mut(&req_no).expect("pending read").done = true;
         ctx.metrics().incr("client.calls_completed");
         ctx.metrics().incr("clbft.ro.accepted");
@@ -370,12 +358,6 @@ impl ClientCore {
             call: CallId(req_no),
             payload,
         })
-    }
-
-    /// Convenience: milliseconds to wait before abandoning, for callers that
-    /// implement client-side timeouts with simnet timers.
-    pub fn suggested_timeout(&self) -> SimDuration {
-        SimDuration::from_secs(5)
     }
 }
 
@@ -418,6 +400,5 @@ mod tests {
         assert_eq!(c.outstanding(), 1);
         c.abandon(CallId(0));
         assert_eq!(c.outstanding(), 0);
-        assert!(c.suggested_timeout() > SimDuration::ZERO);
     }
 }

@@ -137,16 +137,14 @@ mod origin {
     pub fn read(caller: u32) -> u64 {
         0x5244_4f00_0000_0000 | caller as u64 // "RDO" | caller
     }
-
-    pub const READ_MASK: u64 = 0xffff_ff00_0000_0000;
 }
 
-/// Whether a CLBFT request-id origin belongs to a client-visible request
-/// family (external calls and fast-path reads). Only these open lifecycle
-/// spans — internal agreement records (results, aborts, time votes) would
-/// otherwise open spans that never close.
+/// Whether a CLBFT request-id origin belongs to the client-visible request
+/// family (external calls). Only these open lifecycle spans — internal
+/// agreement records (results, aborts, time votes) would otherwise open
+/// spans that never close.
 pub(crate) fn is_traced_origin(origin: u64) -> bool {
-    (origin >> 32) == 0x4558_5400 || (origin & origin::READ_MASK) == origin::read(0)
+    (origin >> 32) == 0x4558_5400
 }
 
 /// The span key `(origin, counter)` of an external request from `caller`
@@ -155,6 +153,13 @@ pub(crate) fn is_traced_origin(origin: u64) -> bool {
 /// phases without re-encoding the event.
 pub(crate) fn external_span_id(caller: GroupId, target_seq: u64) -> (u64, u64) {
     (origin::external(caller.0), target_seq)
+}
+
+/// The span key of fast-path read `req_no` from `caller`. A read is never
+/// ordered, so it has no request id; its key lives in an origin family of
+/// its own and cannot collide with an ordered request's span.
+pub(crate) fn read_span_id(caller: GroupId, req_no: u64) -> (u64, u64) {
+    (origin::read(caller.0), req_no)
 }
 
 /// Marker prefix for configuration-record payloads (transaction decisions,
@@ -178,25 +183,6 @@ pub fn config_payload(payload: &[u8]) -> Bytes {
 /// is a config-record payload and `None` otherwise.
 pub fn strip_config_payload(buf: &[u8]) -> Option<&[u8]> {
     buf.strip_prefix(&CONFIG_PREFIX[..])
-}
-
-/// Builds the CLBFT read-only request for a fast-path read: never ordered,
-/// never executed — a replica whose read gate is open answers it directly
-/// from committed state ([`pws_clbft::Action::ReadOnly`]). The id encodes
-/// `(caller, req_no)` so the serving driver can address the reply; recover
-/// them with [`read_request_parts`].
-pub fn read_request(caller: GroupId, req_no: u64, payload: Bytes) -> Request {
-    Request::read_only(RequestId::new(origin::read(caller.0), req_no), payload)
-}
-
-/// Recovers `(caller, req_no)` from an id built by [`read_request`], or
-/// `None` if the id belongs to a different event family.
-pub fn read_request_parts(id: RequestId) -> Option<(GroupId, u64)> {
-    if id.origin & origin::READ_MASK == origin::read(0) {
-        Some((GroupId((id.origin & 0xffff_ffff) as u32), id.counter))
-    } else {
-        None
-    }
 }
 
 impl Event {
@@ -448,18 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn read_request_roundtrips_caller_and_req_no() {
-        let r = read_request(GroupId(7), 42, Bytes::from_static(b"q"));
-        assert!(r.read_only);
-        assert_eq!(read_request_parts(r.id), Some((GroupId(7), 42)));
-        // Read ids never collide with ordered-event families.
-        for ev in sample_events() {
-            assert_eq!(read_request_parts(ev.request_id()), None);
-            assert_ne!(ev.request_id(), r.id);
-        }
-    }
-
-    #[test]
     fn to_request_is_stable() {
         let ev = &sample_events()[0];
         let r1 = ev.to_request();
@@ -488,7 +462,6 @@ mod tests {
         };
         let r = ev.to_request();
         assert!(r.config, "marked payloads order as config records");
-        assert!(!r.read_only);
         // Only External payloads are inspected.
         assert!(!Event::Abort { call_no: 1 }.to_request().config);
     }

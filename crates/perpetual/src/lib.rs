@@ -45,9 +45,7 @@ pub mod snapshot;
 
 pub use client::{ClientCore, ClientEvent};
 pub use cost::CostModel;
-pub use event::{
-    config_payload, read_request, read_request_parts, strip_config_payload, Event, CONFIG_PREFIX,
-};
+pub use event::{config_payload, strip_config_payload, Event, CONFIG_PREFIX};
 pub use executor::{AppCmd, AppEvent, AppOutput, CallId, Executor, RequestHandle};
 pub use faults::FaultMode;
 pub use group::{GroupId, Topology};

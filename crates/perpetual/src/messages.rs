@@ -6,6 +6,7 @@ use bytes::Bytes;
 use pws_clbft::wire::{Decoder, Encoder, WireError};
 use pws_crypto::auth::BundleShare;
 use pws_crypto::sha256::Digest32;
+use std::collections::{BTreeSet, HashMap};
 
 /// Canonical byte tag naming a call, MACed inside bundle shares.
 pub fn request_tag(caller: GroupId, req_no: u64) -> [u8; 12] {
@@ -13,6 +14,47 @@ pub fn request_tag(caller: GroupId, req_no: u64) -> [u8; 12] {
     tag[..4].copy_from_slice(&caller.0.to_be_bytes());
     tag[4..].copy_from_slice(&req_no.to_be_bytes());
     tag
+}
+
+/// Reply shares gathered toward one quorum — by a responder building a
+/// bundle, or by a caller tallying fast-path read replies — filed by reply
+/// digest. One counted vote per target replica: a Byzantine replica
+/// spraying conflicting replies burns its single vote, so it can neither
+/// reach a quorum alone nor grow the table beyond `n_t` entries.
+#[derive(Debug, Default)]
+pub(crate) struct ShareVotes {
+    voted: BTreeSet<u32>,
+    by_digest: HashMap<Digest32, (Bytes, Vec<BundleShare>)>,
+}
+
+impl ShareVotes {
+    /// Counts `replica`'s one vote; `false` if it has voted before. Called
+    /// before any MAC work, so a flood costs the receiver nothing.
+    pub(crate) fn vote(&mut self, replica: u32) -> bool {
+        self.voted.insert(replica)
+    }
+
+    /// Files a counted voter's share under the digest it vouches for and
+    /// returns how many shares now agree on it.
+    pub(crate) fn add(&mut self, payload: Bytes, share: BundleShare) -> usize {
+        let (_, shares) = self
+            .by_digest
+            .entry(share.reply_digest)
+            .or_insert_with(|| (payload, Vec::new()));
+        shares.push(share);
+        shares.len()
+    }
+
+    /// The replicas whose vote is counted, ascending.
+    #[cfg(test)]
+    pub(crate) fn voters(&self) -> Vec<u32> {
+        self.voted.iter().copied().collect()
+    }
+
+    /// The payload and the shares filed under `digest`.
+    pub(crate) fn take(mut self, digest: &Digest32) -> Option<(Bytes, Vec<BundleShare>)> {
+        self.by_digest.remove(digest)
+    }
 }
 
 /// A message between Perpetual nodes.

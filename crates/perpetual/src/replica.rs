@@ -25,7 +25,7 @@ use crate::event::Event;
 use crate::executor::{AppCmd, AppEvent, AppObs, AppOutput, CallId, Executor, RequestHandle};
 use crate::faults::FaultMode;
 use crate::group::{GroupId, Topology};
-use crate::messages::{decode_pmsg, encode_pmsg, reply_digest, request_tag, PMsg};
+use crate::messages::{decode_pmsg, encode_pmsg, reply_digest, request_tag, PMsg, ShareVotes};
 use bytes::Bytes;
 use pws_clbft::{
     wire as bft_wire, Action, Config, ExecutedSet, Msg, ObsEvent, Replica as BftReplica, ReplicaId,
@@ -212,23 +212,6 @@ struct CallState {
     payload: Bytes,
 }
 
-#[derive(Debug, Default)]
-struct ResponderEntry {
-    /// payload + shares per digest (dedup by share origin).
-    by_digest: HashMap<Digest32, (Bytes, Vec<BundleShare>)>,
-    sent: bool,
-}
-
-/// Collects fast-path read replies for one outstanding read-only call.
-/// One counted vote per target replica — a Byzantine replica flooding
-/// conflicting replies burns its single vote and can neither reach quorum
-/// alone nor grow this collector beyond `n_t` entries.
-#[derive(Debug, Default)]
-struct RoCollector {
-    voted: HashSet<u32>,
-    by_digest: HashMap<Digest32, (Bytes, Vec<BundleShare>)>,
-}
-
 /// The group-agreed seed delivered in [`AppEvent::Init`].
 pub fn group_seed(master_seed: u64, group: GroupId) -> u64 {
     let mut z = master_seed ^ ((group.0 as u64) << 32 | 0x5eed);
@@ -282,9 +265,11 @@ pub struct PerpetualReplica {
     /// Fast-path read replies per outstanding read-only call. Transient:
     /// not snapshot-covered (a recovering replica simply re-collects from
     /// retransmits).
-    ro_replies: HashMap<u64, RoCollector>,
+    ro_replies: HashMap<u64, ShareVotes>,
     // ----- responder duty -----
-    responder_state: HashMap<(GroupId, u64), ResponderEntry>,
+    /// Reply shares gathered per request this replica is responder for;
+    /// `None` once the bundle went out.
+    responder_state: HashMap<(GroupId, u64), Option<ShareVotes>>,
     // ----- timers -----
     view_timer: Option<TimerId>,
     batch_timer: Option<TimerId>,
@@ -551,10 +536,6 @@ impl PerpetualReplica {
                     ctx.metrics().incr("clbft.recovery.installs");
                     ctx.spend(self.cfg.cost.snapshot_cost(snapshot.len()));
                     self.restore_snapshot(&snapshot, ctx);
-                }
-                Action::ReadOnly(_) => {
-                    // Reads are served inline by `handle_read_request`; an
-                    // action surfacing here has no reply address, so drop.
                 }
                 Action::Stable(_) => {
                     ctx.metrics().incr("perpetual.checkpoints_stable");
@@ -960,15 +941,18 @@ impl PerpetualReplica {
     fn drain_gate(&mut self, ctx: &mut Context<'_>) {
         let mut i = 0;
         while i < self.gated.len() {
-            let releasable = {
-                let (_, msg) = self.gated[i].clone();
-                self.gate_ok(&msg)
-            };
-            if releasable {
-                let (from, msg) = self.gated.swap_remove(i);
+            // Tested out of the list (the gate needs `&mut self`) rather
+            // than cloned: a parked proposal carries its whole batch.
+            let (from, msg) = self.gated.swap_remove(i);
+            if self.gate_ok(&msg) {
                 let actions = self.bft.on_message(from, msg);
                 self.process_actions(actions, ctx);
             } else {
+                // Still parked: back into position `i`, so the list — and
+                // with it the release order — is as it was.
+                self.gated.push((from, msg));
+                let last = self.gated.len() - 1;
+                self.gated.swap(i, last);
                 i += 1;
             }
         }
@@ -1084,7 +1068,7 @@ impl PerpetualReplica {
         );
         let share = BundleShare::build(&mut self.keys, me, &tag, digest, &caller_principals);
         if responder == self.cfg.index {
-            self.handle_reply_share(caller, req_no, payload, share, ctx);
+            self.handle_reply_share(self.my_node(), caller, req_no, payload, share, ctx);
         } else {
             let node = self.cfg.topology.node(self.cfg.group, responder);
             self.send_pmsg(
@@ -1147,22 +1131,11 @@ impl PerpetualReplica {
         {
             return;
         }
-        let req = crate::event::read_request(caller, req_no, payload);
-        let mut served = false;
-        let mut rest = Vec::new();
-        for a in self.bft.on_request(req) {
-            match a {
-                Action::ReadOnly(r) => {
-                    served = true;
-                    self.serve_read(from, r, ctx);
-                }
-                other => rest.push(other),
-            }
-        }
-        if !served {
+        if self.bft.can_serve_reads() {
+            self.serve_read(from, caller, req_no, payload, ctx);
+        } else {
             ctx.metrics().incr("clbft.ro.refused");
         }
-        self.process_actions(rest, ctx);
     }
 
     /// Executes a gate-approved read against a scratch copy of the
@@ -1171,21 +1144,19 @@ impl PerpetualReplica {
     /// beyond one reply to the asking handle (plus CPU spends) means the
     /// operation was not actually read-only, and the request is dropped —
     /// the caller's quorum fails and it falls back to the ordered path.
-    fn serve_read(&mut self, from: NodeId, req: pws_clbft::Request, ctx: &mut Context<'_>) {
-        let Some((caller, req_no)) = crate::event::read_request_parts(req.id) else {
-            return;
-        };
-        let rid = req.id;
+    fn serve_read(
+        &mut self,
+        from: NodeId,
+        caller: GroupId,
+        req_no: u64,
+        payload: Bytes,
+        ctx: &mut Context<'_>,
+    ) {
         let scratch = self.executor.snapshot();
         let handle = RequestHandle { caller, req_no };
         let mut out = AppOutput::new(self.next_call, self.next_token);
-        self.executor.on_event(
-            AppEvent::Request {
-                handle,
-                payload: req.payload,
-            },
-            &mut out,
-        );
+        self.executor
+            .on_event(AppEvent::Request { handle, payload }, &mut out);
         self.executor.restore(&scratch);
         let mut reply: Option<Bytes> = None;
         let mut clean = true;
@@ -1225,7 +1196,8 @@ impl PerpetualReplica {
         );
         let share = BundleShare::build(&mut self.keys, me, &tag, digest, &caller_principals);
         ctx.metrics().incr("clbft.ro.served");
-        ctx.obs_phase(self.cfg.group.0, rid.origin, rid.counter, Phase::RoServed);
+        let (origin, counter) = crate::event::read_span_id(caller, req_no);
+        ctx.obs_phase(self.cfg.group.0, origin, counter, Phase::RoServed);
         self.send_pmsg(
             from,
             &PMsg::ReadReply {
@@ -1272,7 +1244,7 @@ impl PerpetualReplica {
         }
         // One counted vote per target replica, bounded by n_t: a Byzantine
         // replica spraying conflicting replies burns its single vote.
-        if !self.ro_replies.entry(req_no).or_default().voted.insert(idx) {
+        if !self.ro_replies.entry(req_no).or_default().vote(idx) {
             ctx.metrics().incr("clbft.ro.duplicate_votes");
             return;
         }
@@ -1284,25 +1256,19 @@ impl PerpetualReplica {
             return;
         }
         let digest = share.reply_digest;
-        let coll = self.ro_replies.get_mut(&req_no).expect("vote just counted");
-        let (_, shares) = coll
-            .by_digest
-            .entry(digest)
-            .or_insert_with(|| (payload, Vec::new()));
-        shares.push(share);
+        let votes = self.ro_replies.get_mut(&req_no).expect("vote just counted");
+        let agreeing = votes.add(payload, share);
         let target_f = self.cfg.topology.f(target) as usize;
         let target_n = self.cfg.topology.n(target) as usize;
         let threshold = (2 * target_f + 1).min(target_n);
-        if shares.len() < threshold {
+        if agreeing < threshold {
             return;
         }
-        let coll = self.ro_replies.remove(&req_no).expect("collector present");
-        let (payload, shares) = coll
-            .by_digest
-            .into_iter()
-            .find(|(d, _)| *d == digest)
-            .expect("quorum digest present")
-            .1;
+        let (payload, shares) = self
+            .ro_replies
+            .remove(&req_no)
+            .and_then(|votes| votes.take(&digest))
+            .expect("quorum digest present");
         ctx.metrics().incr("clbft.ro.accepted");
         self.validated_results.insert((req_no, digest));
         let ev = Event::Result {
@@ -1320,8 +1286,11 @@ impl PerpetualReplica {
 
     // ------------------------------------------------------------ responder
 
+    /// One replica's share for a request this replica is responder for
+    /// (`from` is our own node for the co-located driver's share).
     fn handle_reply_share(
         &mut self,
+        from: NodeId,
         caller: GroupId,
         req_no: u64,
         payload: Bytes,
@@ -1331,30 +1300,39 @@ impl PerpetualReplica {
         if share.reply_digest != reply_digest(&payload) {
             return; // internally inconsistent share
         }
-        if share.from.group != self.cfg.group.0 || share.from.replica >= self.n {
+        // The share must name a replica of this group and arrive from that
+        // very replica: the responder cannot check a share's MACs (they are
+        // keyed to the calling drivers), so a member must not be able to
+        // vote in another member's name.
+        let named = self.cfg.topology.nodes(self.cfg.group);
+        if share.from.group != self.cfg.group.0
+            || named.get(share.from.replica as usize) != Some(&from)
+        {
             return;
         }
-        let entry = self.responder_state.entry((caller, req_no)).or_default();
-        if entry.sent {
+        let Some(votes) = self
+            .responder_state
+            .entry((caller, req_no))
+            .or_insert_with(|| Some(ShareVotes::default()))
+        else {
+            return; // bundle already sent
+        };
+        if !votes.vote(share.from.replica) {
             return;
         }
-        let (stored_payload, shares) = entry
-            .by_digest
-            .entry(share.reply_digest)
-            .or_insert_with(|| (payload, Vec::new()));
-        if shares.iter().any(|s| s.from == share.from) {
-            return;
-        }
-        shares.push(share.clone());
+        let digest = share.reply_digest;
         // Wait for 2f+1 matching shares so at least f+1 come from correct
         // replicas: then every correct calling driver can validate the
         // bundle even if f shares carry bad MACs.
         let threshold = (2 * self.f + 1).min(self.n) as usize;
-        if shares.len() >= threshold {
-            let bundle_payload = stored_payload.clone();
-            let bundle_shares = shares.clone();
-            entry.sent = true;
-            self.send_bundle(caller, req_no, bundle_payload, bundle_shares, ctx);
+        if votes.add(payload, share) >= threshold {
+            let (payload, shares) = self
+                .responder_state
+                .insert((caller, req_no), None)
+                .flatten()
+                .and_then(|votes| votes.take(&digest))
+                .expect("quorum digest present");
+            self.send_bundle(caller, req_no, payload, shares, ctx);
         }
     }
 
@@ -1816,12 +1794,7 @@ impl Node for PerpetualReplica {
                 req_no,
                 payload,
                 share,
-            } => {
-                // Shares must come from within this group.
-                if self.cfg.topology.nodes(self.cfg.group).contains(&from) {
-                    self.handle_reply_share(caller, req_no, payload, share, ctx);
-                }
-            }
+            } => self.handle_reply_share(from, caller, req_no, payload, share, ctx),
             PMsg::ReplyBundle {
                 req_no,
                 payload,
@@ -1955,5 +1928,91 @@ impl Node for PerpetualReplica {
             self.retry_timers.insert(rt, call_no);
             self.retry_by_call.insert(call_no, rt);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pws_simnet::{SimTime, Simulation};
+
+    struct Idle;
+    impl Executor for Idle {
+        fn on_event(&mut self, _ev: AppEvent, _out: &mut AppOutput) {}
+    }
+
+    /// Stands in for the (unreplicated) caller: keeps what it is sent.
+    #[derive(Default)]
+    struct Inbox(Vec<PMsg>);
+    impl Node for Inbox {
+        fn on_message(&mut self, _from: NodeId, msg: Bytes, _ctx: &mut Context<'_>) {
+            self.0.push(decode_pmsg(&msg).expect("well-formed"));
+        }
+    }
+
+    #[test]
+    fn responder_counts_one_vote_per_replica_and_drops_spoofed_shares() {
+        let (seed, group, caller, req_no) = (11, GroupId(0), GroupId(1), 7);
+        let mut topo = Topology::new();
+        topo.register(group, (0..4).map(NodeId::from_raw).collect());
+        topo.register(caller, vec![NodeId::from_raw(4)]);
+        let topo = Arc::new(topo);
+        let mut sim = Simulation::new(seed);
+        for idx in 0..4 {
+            let mut cfg = ReplicaConfig::new(group, idx, topo.clone(), seed);
+            cfg.cost = CostModel::FREE;
+            sim.add_node(Box::new(PerpetualReplica::new(cfg, Box::new(Idle))));
+        }
+        let inbox = sim.add_node(Box::new(Inbox::default()));
+        let responder = topo.node(group, 0);
+        let mut keys = KeyTable::new(seed);
+        // A `ReplyShare` for the one request, in replica `named`'s name.
+        let mut share_msg = |named: u32, payload: &[u8]| {
+            let (tag, digest) = (request_tag(caller, req_no), reply_digest(payload));
+            let from = topo.principal(group, named);
+            let share = BundleShare::build(&mut keys, from, &tag, digest, &topo.principals(caller));
+            let payload = Bytes::copy_from_slice(payload);
+            encode_pmsg(&PMsg::ReplyShare {
+                caller,
+                req_no,
+                payload,
+                share,
+            })
+        };
+        // Replica 3 floods the responder with distinct-digest shares:
+        // under its own name, and under replicas 1 and 2's.
+        for k in 0..30u32 {
+            let bogus = format!("bogus-{k}");
+            sim.inject(
+                topo.node(group, 3),
+                responder,
+                share_msg(1 + k % 3, bogus.as_bytes()),
+            );
+        }
+        sim.run_until(SimTime::from_secs(1));
+        let r0 = sim.node_mut::<PerpetualReplica>(responder).unwrap();
+        let votes = r0.responder_state[&(caller, req_no)].as_ref().unwrap();
+        assert_eq!(
+            votes.voters(),
+            [3],
+            "its own one vote; none in another's name"
+        );
+        // The honest 2f + 1 — the responder's own driver and replicas 1
+        // and 2, whose names the flood tried to burn — still make a bundle.
+        for idx in 0..3 {
+            sim.inject(topo.node(group, idx), responder, share_msg(idx, b"honest"));
+        }
+        sim.run_until(SimTime::from_secs(2));
+        let got = &sim.node_mut::<Inbox>(inbox).unwrap().0;
+        let [PMsg::ReplyBundle {
+            payload, shares, ..
+        }] = &got[..]
+        else {
+            panic!("one bundle for the caller, got {got:?}");
+        };
+        assert_eq!(&payload[..], b"honest");
+        let mut from: Vec<u32> = shares.iter().map(|s| s.from.replica).collect();
+        from.sort_unstable();
+        assert_eq!(from, [0, 1, 2]);
     }
 }
