@@ -436,6 +436,8 @@ impl Checkpoints {
         self.served_fetches.clear();
         self.served_pages.clear();
         self.votes = self.votes.split_off(&stable.next());
+        // Per-entry mutation: the visiting order cannot reach a byte.
+        #[allow(clippy::iter_over_hash_type)]
         for index in self.vote_index.values_mut() {
             while index.first().is_some_and(|s| *s <= stable) {
                 index.pop_first();

@@ -201,20 +201,6 @@ impl PageManifest {
         }
     }
 
-    /// Indices of pages whose digest is *not* served by `have` (a
-    /// content-addressed store of locally held pages): exactly the pages a
-    /// fetcher must pull over the wire.
-    pub fn missing_pages<'a>(
-        &'a self,
-        mut have: impl FnMut(&Digest32) -> bool + 'a,
-    ) -> impl Iterator<Item = usize> + 'a {
-        self.digests
-            .iter()
-            .enumerate()
-            .filter(move |(_, d)| !have(d))
-            .map(|(i, _)| i)
-    }
-
     /// Canonical encoding, mirroring [`crate::ExecutedSet::encode_into`]:
     /// geometry first, then the digest list (the root is recomputed on
     /// decode, never trusted from the wire).
@@ -375,24 +361,6 @@ mod tests {
         // No previous snapshot: everything hashes.
         let (_, hashed, dirty) = PageManifest::compute_incremental(&new, 8, None);
         assert_eq!((hashed, dirty), (8, 8));
-    }
-
-    #[test]
-    fn missing_pages_diffs_against_a_store() {
-        let old = bytes(32);
-        let mut new = old.clone();
-        new[0] ^= 1;
-        new[25] ^= 1;
-        let target = PageManifest::compute(&new, 8);
-        let store: std::collections::HashSet<Digest32> = PageManifest::compute(&old, 8)
-            .digests
-            .iter()
-            .copied()
-            .collect();
-        let missing: Vec<usize> = target.missing_pages(|d| store.contains(d)).collect();
-        assert_eq!(missing, vec![0, 3], "only the changed pages are missing");
-        let cold: Vec<usize> = target.missing_pages(|_| false).collect();
-        assert_eq!(cold, vec![0, 1, 2, 3], "cold store misses everything");
     }
 
     #[test]

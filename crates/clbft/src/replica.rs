@@ -376,12 +376,6 @@ impl Replica {
         !self.in_view_change && !self.ckpt.recovering()
     }
 
-    /// Whether a solicited state transfer is still in progress (reads stay
-    /// gated until the fetched checkpoint's committed suffix replays).
-    pub fn state_transfer_in_progress(&self) -> bool {
-        self.ckpt.recovering()
-    }
-
     /// Submits a request at this replica (from a local client/driver).
     pub fn on_request(&mut self, request: Request) -> Vec<Action> {
         let mut out = Vec::new();
@@ -1198,6 +1192,8 @@ impl Replica {
         self.queue.clear();
         // Ordered-but-unexecuted requests may have been dropped by the view
         // change; demote them so they are re-proposed if needed.
+        // Per-entry mutation: the visiting order cannot reach a byte.
+        #[allow(clippy::iter_over_hash_type)]
         for st in self.requests.values_mut() {
             if let ReqState::Ordered(req) = st {
                 *st = ReqState::Pending(req.clone());
@@ -2625,7 +2621,6 @@ mod tests {
         // checkpoint may be a whole suffix behind the group's frontier.
         let mut target = primed_fetcher();
         let _ = target.begin_state_fetch();
-        assert!(target.state_transfer_in_progress());
         assert!(!target.can_serve_reads());
         // The checkpoint installs, but slot 9 has a single-copy suffix
         // claim: still mid-transfer, reads stay gated.
@@ -2638,7 +2633,6 @@ mod tests {
             Msg::StateResponse(state_response(1, 0, suffix.clone())),
         );
         assert_eq!(target.last_executed(), Seq(8));
-        assert!(target.state_transfer_in_progress());
         assert!(!target.can_serve_reads());
         // The second matching copy replays the suffix; reads reopen.
         let _ = target.on_message(
@@ -2646,7 +2640,6 @@ mod tests {
             Msg::StateResponse(state_response(0, 0, suffix)),
         );
         assert_eq!(target.last_executed(), Seq(9));
-        assert!(!target.state_transfer_in_progress());
         assert!(target.can_serve_reads());
     }
 

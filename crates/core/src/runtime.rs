@@ -238,9 +238,9 @@ enum ClientKind {
 pub struct SystemBuilder {
     seed: u64,
     cost: CostModel,
-    max_batch_size: usize,
-    checkpoint_interval: u64,
-    page_size: u32,
+    max_batch_size: Option<usize>,
+    checkpoint_interval: Option<u64>,
+    page_size: Option<u32>,
     recovery_window: Option<SimDuration>,
     reply_retention: Option<usize>,
     trace: TraceLevel,
@@ -283,9 +283,9 @@ impl SystemBuilder {
         SystemBuilder {
             seed,
             cost: CostModel::DEFAULT,
-            max_batch_size: 16,
-            checkpoint_interval: 64,
-            page_size: pws_perpetual::DEFAULT_PAGE_SIZE,
+            max_batch_size: None,
+            checkpoint_interval: None,
+            page_size: None,
             recovery_window: None,
             reply_retention: None,
             trace: TraceLevel::Off,
@@ -350,7 +350,7 @@ impl SystemBuilder {
     /// `1` disables batching (one request per slot, the pre-batching
     /// behaviour).
     pub fn max_batch_size(&mut self, n: usize) -> &mut Self {
-        self.max_batch_size = n.max(1);
+        self.max_batch_size = Some(n.max(1));
         self
     }
 
@@ -360,7 +360,7 @@ impl SystemBuilder {
     /// state a recovering replica must re-fetch; larger ones amortize
     /// snapshot cost.
     pub fn checkpoint_interval(&mut self, k: u64) -> &mut Self {
-        self.checkpoint_interval = k.max(1);
+        self.checkpoint_interval = Some(k.max(1));
         self
     }
 
@@ -370,7 +370,7 @@ impl SystemBuilder {
     /// state transfer ships only pages whose digests differ. Smaller pages
     /// tighten the transfer delta but grow the per-boundary manifest.
     pub fn page_size(&mut self, bytes: u32) -> &mut Self {
-        self.page_size = bytes.max(1);
+        self.page_size = Some(bytes.max(1));
         self
     }
 
@@ -727,13 +727,13 @@ impl SystemBuilder {
                 for idx in 0..spec.n {
                     let mut cfg = ReplicaConfig::new(gid, idx, topo.clone(), self.seed);
                     cfg.cost = self.cost;
-                    cfg.max_batch_size = self.max_batch_size;
-                    cfg.checkpoint_interval = self.checkpoint_interval;
-                    cfg.page_size = self.page_size;
+                    // Unset knobs keep `ReplicaConfig::new`'s defaults.
+                    cfg.max_batch_size = self.max_batch_size.unwrap_or(cfg.max_batch_size);
+                    cfg.checkpoint_interval =
+                        self.checkpoint_interval.unwrap_or(cfg.checkpoint_interval);
+                    cfg.page_size = self.page_size.unwrap_or(cfg.page_size);
+                    cfg.reply_retention = self.reply_retention.unwrap_or(cfg.reply_retention);
                     cfg.recovery_interval = self.recovery_window;
-                    if let Some(r) = self.reply_retention {
-                        cfg.reply_retention = r;
-                    }
                     cfg.obs_phases = self.trace.spans_enabled();
                     cfg.audit = audit.is_some();
                     cfg.fault = spec.faults.get(&(shard, idx)).copied().unwrap_or_default();

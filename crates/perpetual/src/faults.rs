@@ -1,6 +1,20 @@
 //! Byzantine fault injection modes for replicas, used by tests and the
 //! fault-isolation experiments.
 
+use bytes::Bytes;
+
+/// The corruption every payload-tampering mode applies: a copy of `payload`
+/// with its first byte XORed with `mask`, or the one byte `mask` if it was
+/// empty — never equal to the original for a non-zero mask.
+pub(crate) fn corrupt(payload: &Bytes, mask: u8) -> Bytes {
+    let mut bad = payload.to_vec();
+    match bad.first_mut() {
+        Some(b) => *b ^= mask,
+        None => bad.push(mask),
+    }
+    Bytes::from(bad)
+}
+
 /// How a replica misbehaves (if at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultMode {

@@ -20,10 +20,11 @@
 //! what stops a faulty primary from injecting forged cross-group events and
 //! is the mechanism behind the paper's fault-isolation guarantee.
 
+use crate::calls::{Calls, TimerKind};
 use crate::cost::CostModel;
 use crate::event::Event;
 use crate::executor::{AppCmd, AppEvent, AppObs, AppOutput, CallId, Executor, RequestHandle};
-use crate::faults::FaultMode;
+use crate::faults::{corrupt, FaultMode};
 use crate::group::{GroupId, Topology};
 use crate::messages::{decode_pmsg, encode_pmsg, reply_digest, request_tag, PMsg, ShareVotes};
 use bytes::Bytes;
@@ -38,7 +39,7 @@ use pws_simnet::metrics::BatchKeys;
 use pws_simnet::{
     AuditEvent, Context, FlightKind, Node, NodeId, Phase, ProtoKey, SimDuration, TimerId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Default for [`ReplicaConfig::reply_retention`]: how many produced
@@ -58,6 +59,18 @@ use std::sync::Arc;
 /// exactly *one* reply per client (their clients are
 /// single-outstanding); the window here is 512× more generous.
 pub const DEFAULT_REPLY_RETENTION: usize = 512;
+
+/// CLBFT view-change timeout.
+const VIEW_TIMEOUT: SimDuration = SimDuration::from_millis(400);
+
+/// Interval after which an unanswered outcall is retransmitted with the
+/// responder role rotated to the next target replica (masks a faulty
+/// responder; part of Perpetual's fault handling).
+const RETRY_INTERVAL: SimDuration = SimDuration::from_millis(700);
+
+/// Milliseconds added to the simulated clock for time votes, so agreed
+/// timestamps look like wall-clock epochs.
+const EPOCH_OFFSET_MS: u64 = 1_190_000_000_000;
 
 /// The dedup key for a delivered external request: the calling group is
 /// the origin, the caller's dense *per-target* sequence number the
@@ -90,6 +103,22 @@ fn insert_bounded<T>(per: &mut BTreeMap<u64, T>, req_no: u64, value: T, retentio
     }
 }
 
+/// Applies a voter timer command to the one timer it names: whatever was
+/// pending is cancelled, and a restart sets a fresh one.
+fn reset_timer(
+    slot: &mut Option<TimerId>,
+    cmd: TimerCmd,
+    delay: SimDuration,
+    ctx: &mut Context<'_>,
+) {
+    if let Some(t) = slot.take() {
+        ctx.cancel_timer(t);
+    }
+    if cmd == TimerCmd::Restart {
+        *slot = Some(ctx.set_timer(delay));
+    }
+}
+
 /// Static configuration of one Perpetual replica.
 pub struct ReplicaConfig {
     /// This replica's group.
@@ -102,26 +131,12 @@ pub struct ReplicaConfig {
     pub master_seed: u64,
     /// CPU cost model.
     pub cost: CostModel,
-    /// CLBFT view-change timeout.
-    pub view_timeout: SimDuration,
-    /// Interval after which an unanswered outcall is retransmitted with the
-    /// responder role rotated to the next target replica (masks a faulty
-    /// responder; part of Perpetual's fault handling).
-    pub retry_interval: SimDuration,
-    /// Milliseconds added to the simulated clock for time votes, so agreed
-    /// timestamps look like wall-clock epochs.
-    pub epoch_offset_ms: u64,
     /// Maximum requests the voter's primary seals into one agreement batch
     /// (CLBFT request batching; `1` disables it).
     pub max_batch_size: usize,
-    /// Upper bound on how long a queued request may wait for its batch to
-    /// seal when the agreement pipeline is full.
-    pub batch_delay: SimDuration,
     /// The voter checkpoints (snapshot + certificate vote) every this many
     /// executions.
     pub checkpoint_interval: u64,
-    /// The voter's log window (high watermark = stable + window).
-    pub watermark_window: u64,
     /// Snapshot page size (bytes) for the voter's Merkle-partitioned
     /// checkpoints and state transfer. Must match across the group.
     pub page_size: u32,
@@ -158,13 +173,8 @@ impl ReplicaConfig {
             topology,
             master_seed,
             cost: CostModel::DEFAULT,
-            view_timeout: SimDuration::from_millis(400),
-            retry_interval: SimDuration::from_millis(700),
-            epoch_offset_ms: 1_190_000_000_000,
             max_batch_size: 16,
-            batch_delay: SimDuration::from_millis(1),
             checkpoint_interval: 64,
-            watermark_window: 256,
             page_size: pws_clbft::DEFAULT_PAGE_SIZE,
             recovery_interval: None,
             reply_retention: DEFAULT_REPLY_RETENTION,
@@ -174,13 +184,12 @@ impl ReplicaConfig {
         }
     }
 
-    /// The CLBFT configuration this replica's voter runs with.
+    /// The CLBFT configuration this replica's voter runs with. The log
+    /// window and the batch delay are [`Config::new`]'s.
     fn bft_config(&self, n: u32) -> Config {
         let mut bft_cfg = Config::new(n);
         bft_cfg.max_batch_size = self.max_batch_size.max(1);
-        bft_cfg.batch_delay_us = self.batch_delay.as_micros();
         bft_cfg.checkpoint_interval = self.checkpoint_interval.max(1);
-        bft_cfg.watermark_window = self.watermark_window.max(1);
         bft_cfg.page_size = self.page_size.max(1);
         bft_cfg.obs_phases = self.obs_phases;
         bft_cfg.audit = self.audit;
@@ -198,18 +207,23 @@ impl std::fmt::Debug for ReplicaConfig {
     }
 }
 
-#[derive(Debug)]
-struct CallState {
-    target: GroupId,
-    /// Dense per-target dedup sequence (see `Event::External::target_seq`).
-    /// Read-only calls never consume one and store `0`.
-    target_seq: u64,
-    done: bool,
-    /// Travels the read-only fast path: no `target_seq`, retransmits
-    /// re-broadcast the read.
-    read_only: bool,
-    /// Original request payload, kept for retransmission.
-    payload: Bytes,
+/// What one calling group is owed. Three maps, not one record per request:
+/// each is bounded by [`ReplicaConfig::reply_retention`] on its own
+/// schedule, and `routes` and `replies` are snapshot-covered, so their
+/// eviction order is part of the certified bytes.
+#[derive(Debug, Default)]
+struct CallerTable {
+    /// The chosen responder per delivered request. Retransmits re-derive
+    /// the route from the incoming request anyway, so old entries carry no
+    /// information a live caller still needs.
+    routes: BTreeMap<u64, u32>,
+    /// Replies already produced, kept for responder-rotation retransmits.
+    replies: BTreeMap<u64, Bytes>,
+    /// Span routes for deferred replies: `req_no` → the span key `(origin,
+    /// counter)` of the delivered external request. Populated at delivery
+    /// only while tracing is on, consumed when the reply is produced. Not
+    /// snapshot-covered, and survives a restore.
+    traced: BTreeMap<u64, (u64, u64)>,
 }
 
 /// The group-agreed seed delivered in [`AppEvent::Init`].
@@ -232,40 +246,20 @@ pub struct PerpetualReplica {
     candidates: HashMap<(GroupId, u64), HashMap<Digest32, HashSet<u32>>>,
     /// CLBFT request digests the gate lets through.
     validated: HashSet<Digest32>,
-    /// (call, reply digest) pairs validated by the co-located driver.
-    validated_results: HashSet<(u64, Digest32)>,
     /// Ordering proposals parked until local validation.
     gated: Vec<(ReplicaId, Msg)>,
-    /// Calls whose local abort timer fired.
-    abort_fired: HashSet<u64>,
     // ----- driver state -----
     executor: Box<dyn Executor>,
     next_call: u64,
     next_token: u64,
-    /// Dense per-target sequence counters: the dedup key space of our own
-    /// outcalls (see `Event::External::target_seq`).
-    next_target_seq: BTreeMap<u32, u64>,
-    calls: HashMap<u64, CallState>,
+    /// Our own outcalls, one record each, with their timers.
+    calls: Calls,
     /// Delivered external requests, compacted per calling group (the
     /// driver-level dedup mirror of the voter's [`ExecutedSet`]).
     delivered_external: ExecutedSet,
-    /// Reply routes (chosen responder per delivered request), bounded per
-    /// caller like [`PerpetualReplica::replies_sent`] — retransmits
-    /// re-derive the route from the incoming request anyway, so old
-    /// entries carry no information a live caller still needs.
-    reply_info: HashMap<GroupId, BTreeMap<u64, u32>>,
-    /// Replies already produced, kept (bounded per caller by
-    /// [`ReplicaConfig::reply_retention`]) for responder-rotation
-    /// retransmits.
-    replies_sent: HashMap<GroupId, BTreeMap<u64, Bytes>>,
-    /// Result proposals submitted into agreement, per call, so obsolete ones
-    /// can be withdrawn when the call resolves.
-    submitted_results: HashMap<u64, Vec<pws_clbft::RequestId>>,
-    resolved_tokens: HashSet<u64>,
-    /// Fast-path read replies per outstanding read-only call. Transient:
-    /// not snapshot-covered (a recovering replica simply re-collects from
-    /// retransmits).
-    ro_replies: HashMap<u64, ShareVotes>,
+    /// Reply routes, retained replies and span routes per calling group.
+    callers: BTreeMap<GroupId, CallerTable>,
+    resolved_tokens: BTreeSet<u64>,
     // ----- responder duty -----
     /// Reply shares gathered per request this replica is responder for;
     /// `None` once the bundle went out.
@@ -273,11 +267,6 @@ pub struct PerpetualReplica {
     // ----- timers -----
     view_timer: Option<TimerId>,
     batch_timer: Option<TimerId>,
-    call_timers: HashMap<TimerId, u64>,
-    timers_by_call: HashMap<u64, TimerId>,
-    retry_timers: HashMap<TimerId, u64>,
-    retry_by_call: HashMap<u64, TimerId>,
-    retries: HashMap<u64, u32>,
     /// Fires once for [`FaultMode::StaleDrop`].
     stale_timer: Option<TimerId>,
     /// Fires every `n × recovery_interval` for proactive recovery.
@@ -287,11 +276,6 @@ pub struct PerpetualReplica {
     exec_keys: BatchKeys,
     /// Precomputed per-group `clbft.exec.<group>.*` metric keys.
     exec_group_keys: BatchKeys,
-    /// Span routes for deferred replies: `(caller, req_no)` → the span key
-    /// `(origin, counter)` of the delivered external request. Populated at
-    /// delivery only while tracing is on, consumed (removed) when the
-    /// reply is produced, and bounded per caller like the reply cache.
-    traced_replies: HashMap<GroupId, BTreeMap<u64, (u64, u64)>>,
 }
 
 impl std::fmt::Debug for PerpetualReplica {
@@ -319,33 +303,21 @@ impl PerpetualReplica {
             keys,
             candidates: HashMap::new(),
             validated: HashSet::new(),
-            validated_results: HashSet::new(),
             gated: Vec::new(),
-            abort_fired: HashSet::new(),
             executor,
             next_call: 0,
-            next_target_seq: BTreeMap::new(),
             next_token: 0,
-            calls: HashMap::new(),
+            calls: Calls::new(cfg.group, cfg.topology.clone()),
             delivered_external: ExecutedSet::new(),
-            reply_info: HashMap::new(),
-            replies_sent: HashMap::new(),
-            submitted_results: HashMap::new(),
-            resolved_tokens: HashSet::new(),
-            ro_replies: HashMap::new(),
+            callers: BTreeMap::new(),
+            resolved_tokens: BTreeSet::new(),
             responder_state: HashMap::new(),
             view_timer: None,
             batch_timer: None,
-            call_timers: HashMap::new(),
-            timers_by_call: HashMap::new(),
-            retry_timers: HashMap::new(),
-            retry_by_call: HashMap::new(),
-            retries: HashMap::new(),
             stale_timer: None,
             recovery_timer: None,
             exec_keys: BatchKeys::new("clbft.exec"),
             exec_group_keys: BatchKeys::new(&format!("clbft.exec.{}", cfg.group)),
-            traced_replies: HashMap::new(),
             cfg,
         }
     }
@@ -412,7 +384,7 @@ impl PerpetualReplica {
     /// the incoming request, so only the newest window matters.
     fn record_reply_route(&mut self, caller: GroupId, req_no: u64, responder: u32) {
         insert_bounded(
-            self.reply_info.entry(caller).or_default(),
+            &mut self.callers.entry(caller).or_default().routes,
             req_no,
             responder,
             self.cfg.reply_retention,
@@ -462,12 +434,7 @@ impl PerpetualReplica {
         }
         let victim = (self.cfg.index + 1) % self.n;
         let mut twisted = pp.batch.clone();
-        let mut bad = twisted.requests[0].payload.to_vec();
-        match bad.first_mut() {
-            Some(b) => *b ^= 0xA5,
-            None => bad.push(0xA5),
-        }
-        twisted.requests[0].payload = Bytes::from(bad);
+        twisted.requests[0].payload = corrupt(&twisted.requests[0].payload, 0xA5);
         let variant = Msg::PrePrepare(pws_clbft::PrePrepareMsg {
             view: pp.view,
             seq: pp.seq,
@@ -506,12 +473,7 @@ impl PerpetualReplica {
                             // page it serves; the fetcher's Merkle check
                             // must catch each one.
                             for page in &mut pr.pages {
-                                let mut bad = page.to_vec();
-                                match bad.first_mut() {
-                                    Some(b) => *b ^= 0xA5,
-                                    None => bad.push(0xA5),
-                                }
-                                *page = bytes::Bytes::from(bad);
+                                *page = corrupt(page, 0xA5);
                             }
                         }
                     }
@@ -542,31 +504,12 @@ impl PerpetualReplica {
                     ctx.metrics().incr("clbft.ckpt.stable");
                 }
                 Action::EnteredView(_) => ctx.metrics().incr("perpetual.view_changes"),
-                Action::ViewTimer(TimerCmd::Restart) => {
-                    if let Some(t) = self.view_timer.take() {
-                        ctx.cancel_timer(t);
-                    }
-                    self.view_timer = Some(ctx.set_timer(self.cfg.view_timeout));
-                }
-                Action::ViewTimer(TimerCmd::Stop) => {
-                    if let Some(t) = self.view_timer.take() {
-                        ctx.cancel_timer(t);
-                    }
-                }
-                Action::BatchTimer(TimerCmd::Restart) => {
-                    if let Some(t) = self.batch_timer.take() {
-                        ctx.cancel_timer(t);
-                    }
+                Action::ViewTimer(cmd) => reset_timer(&mut self.view_timer, cmd, VIEW_TIMEOUT, ctx),
+                Action::BatchTimer(cmd) => {
                     // Single source of truth: the delay the voter was
-                    // configured with (ReplicaConfig::batch_delay, written
-                    // into the CLBFT config at construction).
+                    // configured with.
                     let delay = SimDuration::from_micros(self.bft.config().batch_delay_us);
-                    self.batch_timer = Some(ctx.set_timer(delay));
-                }
-                Action::BatchTimer(TimerCmd::Stop) => {
-                    if let Some(t) = self.batch_timer.take() {
-                        ctx.cancel_timer(t);
-                    }
+                    reset_timer(&mut self.batch_timer, cmd, delay, ctx);
                 }
             }
         }
@@ -680,46 +623,25 @@ impl PerpetualReplica {
         self.process_actions(actions, ctx);
     }
 
-    /// Serializes the durable driver + executor state, every collection in
-    /// sorted order so all correct replicas produce byte-identical
-    /// snapshots at the same agreed boundary.
+    /// Serializes the durable driver + executor state. Every table is an
+    /// ordered map walked in key order, so all correct replicas produce
+    /// byte-identical snapshots at the same agreed boundary.
     fn build_snapshot(&self) -> Bytes {
-        let mut calls: Vec<crate::snapshot::CallSnap> = self
-            .calls
-            .iter()
-            .map(|(no, c)| crate::snapshot::CallSnap {
-                call_no: *no,
-                target: c.target.0,
-                target_seq: c.target_seq,
-                done: c.done,
-                read_only: c.read_only,
-                payload: c.payload.clone(),
-            })
-            .collect();
-        calls.sort_by_key(|c| c.call_no);
-        let mut reply_routes: Vec<(u32, u64, u32)> = self
-            .reply_info
-            .iter()
-            .flat_map(|(g, per)| per.iter().map(|(r, resp)| (g.0, *r, *resp)))
-            .collect();
-        reply_routes.sort_unstable();
-        let mut replies_sent: Vec<(u32, u64, Bytes)> = self
-            .replies_sent
-            .iter()
-            .flat_map(|(g, per)| per.iter().map(|(r, payload)| (g.0, *r, payload.clone())))
-            .collect();
-        replies_sent.sort_by_key(|(g, r, _)| (*g, *r));
-        let mut resolved_tokens: Vec<u64> = self.resolved_tokens.iter().copied().collect();
-        resolved_tokens.sort_unstable();
+        let (calls, next_target_seq) = self.calls.snapshot();
+        let per_caller = || self.callers.iter().map(|(g, t)| (g.0, t));
         crate::snapshot::DriverSnapshot {
             next_call: self.next_call,
             next_token: self.next_token,
-            next_target_seq: self.next_target_seq.iter().map(|(g, s)| (*g, *s)).collect(),
+            next_target_seq,
             calls,
             delivered: self.delivered_external.clone(),
-            reply_routes,
-            replies_sent,
-            resolved_tokens,
+            reply_routes: per_caller()
+                .flat_map(|(g, t)| t.routes.iter().map(move |(r, resp)| (g, *r, *resp)))
+                .collect(),
+            replies_sent: per_caller()
+                .flat_map(|(g, t)| t.replies.iter().map(move |(r, p)| (g, *r, p.clone())))
+                .collect(),
+            resolved_tokens: self.resolved_tokens.iter().copied().collect(),
             executor: Bytes::from(self.executor.snapshot()),
         }
         .encode()
@@ -744,53 +666,31 @@ impl PerpetualReplica {
         };
         self.next_call = snap.next_call;
         self.next_token = snap.next_token;
-        self.next_target_seq = snap.next_target_seq.iter().copied().collect();
-        self.calls = snap
-            .calls
-            .iter()
-            .map(|c| {
-                (
-                    c.call_no,
-                    CallState {
-                        target: GroupId(c.target),
-                        target_seq: c.target_seq,
-                        done: c.done,
-                        read_only: c.read_only,
-                        payload: c.payload.clone(),
-                    },
-                )
-            })
-            .collect();
-        self.delivered_external = snap.delivered.clone();
-        self.reply_info = HashMap::new();
-        for (g, r, resp) in &snap.reply_routes {
-            self.reply_info
-                .entry(GroupId(*g))
-                .or_default()
-                .insert(*r, *resp);
+        self.delivered_external = snap.delivered;
+        for table in self.callers.values_mut() {
+            table.routes.clear();
+            table.replies.clear();
         }
-        self.replies_sent = HashMap::new();
-        for (g, r, payload) in &snap.replies_sent {
-            self.replies_sent
-                .entry(GroupId(*g))
-                .or_default()
-                .insert(*r, payload.clone());
+        for (g, r, resp) in snap.reply_routes {
+            let table = self.callers.entry(GroupId(g)).or_default();
+            table.routes.insert(r, resp);
         }
-        self.resolved_tokens = snap.resolved_tokens.iter().copied().collect();
+        for (g, r, payload) in snap.replies_sent {
+            let table = self.callers.entry(GroupId(g)).or_default();
+            table.replies.insert(r, payload);
+        }
+        self.resolved_tokens = snap.resolved_tokens.into_iter().collect();
         self.executor.restore(&snap.executor);
         // Timer fixups: resolved calls need no timers; unresolved restored
         // calls need a retry timer so responder rotation keeps masking
         // faulty responders after recovery.
-        let call_nos: Vec<u64> = self.calls.keys().copied().collect();
-        for call_no in call_nos {
-            let done = self.calls[&call_no].done;
-            if done {
-                self.cancel_call_timer(call_no, ctx);
-            } else if !self.retry_by_call.contains_key(&call_no) {
-                let rt = ctx.set_timer(self.cfg.retry_interval);
-                self.retry_timers.insert(rt, call_no);
-                self.retry_by_call.insert(call_no, rt);
-            }
+        let (cancel, unarmed) = self.calls.restore(&snap.calls, &snap.next_target_seq);
+        for t in cancel {
+            ctx.cancel_timer(t);
+        }
+        for call_no in unarmed {
+            let rt = ctx.set_timer(RETRY_INTERVAL);
+            self.calls.arm(call_no, TimerKind::Retry, rt);
         }
     }
 
@@ -811,7 +711,6 @@ impl PerpetualReplica {
         // The auditor's exactly-once ledger is per node *incarnation*: a
         // wiped replica legitimately re-executes history during recovery.
         ctx.obs_audit(self.cfg.group.0, AuditEvent::NodeReset);
-        self.ro_replies.clear();
         let warm_pages = if cold {
             Vec::new()
         } else {
@@ -821,37 +720,17 @@ impl PerpetualReplica {
         self.bft.seed_page_store(warm_pages);
         self.candidates.clear();
         self.validated.clear();
-        self.validated_results.clear();
         self.gated.clear();
-        self.abort_fired.clear();
-        self.calls.clear();
         self.delivered_external = ExecutedSet::new();
-        self.reply_info.clear();
-        self.replies_sent.clear();
-        self.submitted_results.clear();
+        self.callers.clear();
         self.resolved_tokens.clear();
         self.responder_state.clear();
-        self.traced_replies.clear();
         self.next_call = 0;
-        self.next_target_seq.clear();
         self.next_token = 0;
-        for t in self
-            .view_timer
-            .take()
-            .into_iter()
-            .chain(self.batch_timer.take())
-        {
+        let own = [self.view_timer.take(), self.batch_timer.take()];
+        for t in own.into_iter().flatten().chain(self.calls.wipe()) {
             ctx.cancel_timer(t);
         }
-        for (t, _) in self.call_timers.drain() {
-            ctx.cancel_timer(t);
-        }
-        for (t, _) in self.retry_timers.drain() {
-            ctx.cancel_timer(t);
-        }
-        self.timers_by_call.clear();
-        self.retry_by_call.clear();
-        self.retries.clear();
     }
 
     /// One proactive-recovery turn (paper §7 future work): reboot from
@@ -896,10 +775,10 @@ impl PerpetualReplica {
                 payload,
                 shares,
             }) => self.result_gate_ok(call_no, digest, &payload, &shares),
-            Ok(Event::Abort { call_no }) => {
-                self.abort_fired.contains(&call_no)
-                    || self.calls.get(&call_no).is_some_and(|c| c.done)
-            }
+            Ok(Event::Abort { call_no }) => self
+                .calls
+                .get(call_no)
+                .is_some_and(|c| c.live.as_ref().is_none_or(|l| l.abort_fired)),
             Ok(Event::TimeVote { .. }) => true,
             // Malformed events pass the gate; execution skips them
             // identically at every correct replica.
@@ -917,10 +796,13 @@ impl PerpetualReplica {
         payload: &Bytes,
         shares: &[BundleShare],
     ) -> bool {
-        let Some(call) = self.calls.get(&call_no) else {
+        let Some(call) = self.calls.get_mut(call_no) else {
             return false; // unknown call: wait (calls are deterministic)
         };
-        if call.done || self.validated_results.contains(&(call_no, digest)) {
+        let Some(live) = call.live.as_mut() else {
+            return true;
+        };
+        if live.validated.contains(&digest) {
             return true;
         }
         let target = call.target;
@@ -930,12 +812,11 @@ impl PerpetualReplica {
         let target_f = self.cfg.topology.f(target) as usize;
         let me = self.cfg.topology.principal(self.cfg.group, self.cfg.index);
         let tag = request_tag(self.cfg.group, call_no);
-        if verify_bundle(&mut self.keys, shares, &tag, &digest, me, target_f + 1) {
-            self.validated_results.insert((call_no, digest));
-            true
-        } else {
-            false
+        let ok = verify_bundle(&mut self.keys, shares, &tag, &digest, me, target_f + 1);
+        if ok {
+            live.validated.push(digest);
         }
+        ok
     }
 
     fn drain_gate(&mut self, ctx: &mut Context<'_>) {
@@ -977,17 +858,17 @@ impl PerpetualReplica {
     // ---------------------------------------------------------------- voter
 
     fn handle_out_request(&mut self, from: NodeId, ev: Event, ctx: &mut Context<'_>) {
-        let Event::External {
+        let &Event::External {
             caller,
             caller_n,
             req_no,
             target_seq,
+            responder,
             ..
         } = &ev
         else {
             return;
         };
-        let (caller, caller_n, req_no, target_seq) = (*caller, *caller_n, *req_no, *target_seq);
         if !self.cfg.topology.contains(caller) || self.cfg.topology.n(caller) != caller_n {
             return;
         }
@@ -1023,16 +904,13 @@ impl PerpetualReplica {
             // still waiting for the reply (e.g. the original responder is
             // faulty). Honour the rotated responder choice and re-send our
             // share.
-            let Event::External { responder, .. } = ev else {
-                return;
-            };
             let responder = responder.min(self.n - 1);
             self.record_reply_route(caller, req_no, responder);
             self.candidates.remove(&key);
             let retained = self
-                .replies_sent
+                .callers
                 .get(&caller)
-                .and_then(|per| per.get(&req_no))
+                .and_then(|t| t.replies.get(&req_no))
                 .cloned();
             if let Some(payload) = retained {
                 ctx.metrics().incr("perpetual.shares_retransmitted");
@@ -1046,6 +924,26 @@ impl PerpetualReplica {
         }
     }
 
+    /// MACs this replica's share vouching for `payload` as the reply to
+    /// `(caller, req_no)`, one MAC per calling driver (charged here), and
+    /// returns it with that MAC count.
+    fn build_share(
+        &mut self,
+        caller: GroupId,
+        req_no: u64,
+        payload: &Bytes,
+        ctx: &mut Context<'_>,
+    ) -> (BundleShare, usize) {
+        let caller_principals = self.cfg.topology.principals(caller);
+        let me = self.cfg.topology.principal(self.cfg.group, self.cfg.index);
+        let tag = request_tag(caller, req_no);
+        let macs = caller_principals.len();
+        ctx.spend(self.cfg.cost.mac.saturating_mul(macs as u64));
+        let digest = reply_digest(payload);
+        let share = BundleShare::build(&mut self.keys, me, &tag, digest, &caller_principals);
+        (share, macs)
+    }
+
     /// Builds this replica's bundle share for a reply and routes it to the
     /// responder (possibly ourselves).
     fn send_share(
@@ -1056,17 +954,7 @@ impl PerpetualReplica {
         payload: Bytes,
         ctx: &mut Context<'_>,
     ) {
-        let digest = reply_digest(&payload);
-        let caller_principals = self.cfg.topology.principals(caller);
-        let me = self.cfg.topology.principal(self.cfg.group, self.cfg.index);
-        let tag = request_tag(caller, req_no);
-        ctx.spend(
-            self.cfg
-                .cost
-                .mac
-                .saturating_mul(caller_principals.len() as u64),
-        );
-        let share = BundleShare::build(&mut self.keys, me, &tag, digest, &caller_principals);
+        let (share, macs) = self.build_share(caller, req_no, &payload, ctx);
         if responder == self.cfg.index {
             self.handle_reply_share(self.my_node(), caller, req_no, payload, share, ctx);
         } else {
@@ -1079,7 +967,7 @@ impl PerpetualReplica {
                     payload,
                     share,
                 },
-                caller_principals.len(),
+                macs,
                 ctx,
             );
         }
@@ -1176,25 +1064,9 @@ impl PerpetualReplica {
         };
         ctx.spend(self.cfg.cost.ro_serve);
         if self.cfg.fault == FaultMode::CorruptReplies {
-            let mut bad = payload.to_vec();
-            if let Some(b) = bad.first_mut() {
-                *b ^= 0xff;
-            } else {
-                bad.push(0xff);
-            }
-            payload = Bytes::from(bad);
+            payload = corrupt(&payload, 0xff);
         }
-        let digest = reply_digest(&payload);
-        let caller_principals = self.cfg.topology.principals(caller);
-        let me = self.cfg.topology.principal(self.cfg.group, self.cfg.index);
-        let tag = request_tag(caller, req_no);
-        ctx.spend(
-            self.cfg
-                .cost
-                .mac
-                .saturating_mul(caller_principals.len() as u64),
-        );
-        let share = BundleShare::build(&mut self.keys, me, &tag, digest, &caller_principals);
+        let (share, macs) = self.build_share(caller, req_no, &payload, ctx);
         ctx.metrics().incr("clbft.ro.served");
         let (origin, counter) = crate::event::read_span_id(caller, req_no);
         ctx.obs_phase(self.cfg.group.0, origin, counter, Phase::RoServed);
@@ -1205,7 +1077,7 @@ impl PerpetualReplica {
                 payload,
                 share,
             },
-            caller_principals.len(),
+            macs,
             ctx,
         );
     }
@@ -1224,13 +1096,13 @@ impl PerpetualReplica {
         share: BundleShare,
         ctx: &mut Context<'_>,
     ) {
-        let Some(call) = self.calls.get(&req_no) else {
+        let Some(call) = self.calls.get_mut(req_no) else {
             return;
         };
-        if call.done || !call.read_only {
+        let (target, read_only) = (call.target, call.read_only);
+        let Some(live) = call.live.as_mut().filter(|_| read_only) else {
             return;
-        }
-        let target = call.target;
+        };
         if share.from.group != target.0 {
             return;
         }
@@ -1244,7 +1116,7 @@ impl PerpetualReplica {
         }
         // One counted vote per target replica, bounded by n_t: a Byzantine
         // replica spraying conflicting replies burns its single vote.
-        if !self.ro_replies.entry(req_no).or_default().vote(idx) {
+        if !live.ro_votes.vote(idx) {
             ctx.metrics().incr("clbft.ro.duplicate_votes");
             return;
         }
@@ -1256,31 +1128,42 @@ impl PerpetualReplica {
             return;
         }
         let digest = share.reply_digest;
-        let votes = self.ro_replies.get_mut(&req_no).expect("vote just counted");
-        let agreeing = votes.add(payload, share);
+        let agreeing = live.ro_votes.add(payload, share);
         let target_f = self.cfg.topology.f(target) as usize;
         let target_n = self.cfg.topology.n(target) as usize;
         let threshold = (2 * target_f + 1).min(target_n);
         if agreeing < threshold {
             return;
         }
-        let (payload, shares) = self
-            .ro_replies
-            .remove(&req_no)
-            .and_then(|votes| votes.take(&digest))
+        let (payload, shares) = std::mem::take(&mut live.ro_votes)
+            .take(&digest)
             .expect("quorum digest present");
         ctx.metrics().incr("clbft.ro.accepted");
-        self.validated_results.insert((req_no, digest));
+        self.submit_result(req_no, digest, payload, shares, ctx);
+    }
+
+    /// A reply this driver validated itself — a bundle with `f_t + 1` good
+    /// shares, or a fast-path read quorum — enters our own ordered stream
+    /// as a share-proven [`Event::Result`], remembered so the gate passes
+    /// it and so it can be withdrawn if the call resolves another way.
+    fn submit_result(
+        &mut self,
+        call_no: u64,
+        digest: Digest32,
+        payload: Bytes,
+        shares: Vec<BundleShare>,
+        ctx: &mut Context<'_>,
+    ) {
         let ev = Event::Result {
-            call_no: req_no,
+            call_no,
             digest,
             payload,
             shares,
         };
-        self.submitted_results
-            .entry(req_no)
-            .or_default()
-            .push(ev.request_id());
+        if let Some(live) = self.calls.get_mut(call_no).and_then(|c| c.live.as_mut()) {
+            live.validated.push(digest);
+            live.submitted.push(ev.request_id());
+        }
         self.submit_event(&ev, ctx);
     }
 
@@ -1348,26 +1231,18 @@ impl PerpetualReplica {
         let caller_nodes: Vec<NodeId> = self.cfg.topology.nodes(caller).to_vec();
         let equivocate = self.cfg.fault == FaultMode::EquivocatingResponder;
         for (i, node) in caller_nodes.into_iter().enumerate() {
-            let msg = if equivocate && i % 2 == 1 {
+            let payload = if equivocate && i % 2 == 1 {
                 // Corrupt the payload for half of the drivers; MACs no
                 // longer match, so these drivers must reject the bundle.
-                let mut bad = payload.to_vec();
-                if let Some(b) = bad.first_mut() {
-                    *b ^= 0xff;
-                } else {
-                    bad.push(0xff);
-                }
-                PMsg::ReplyBundle {
-                    req_no,
-                    payload: Bytes::from(bad),
-                    shares: shares.clone(),
-                }
+                corrupt(&payload, 0xff)
             } else {
-                PMsg::ReplyBundle {
-                    req_no,
-                    payload: payload.clone(),
-                    shares: shares.clone(),
-                }
+                payload.clone()
+            };
+            let shares = shares.clone();
+            let msg = PMsg::ReplyBundle {
+                req_no,
+                payload,
+                shares,
             };
             self.send_pmsg(node, &msg, 0, ctx);
         }
@@ -1382,12 +1257,9 @@ impl PerpetualReplica {
         shares: Vec<BundleShare>,
         ctx: &mut Context<'_>,
     ) {
-        let Some(call) = self.calls.get(&req_no) else {
+        let Some(call) = self.calls.get(req_no).filter(|c| c.live.is_some()) else {
             return;
         };
-        if call.done {
-            return;
-        }
         let target = call.target;
         let target_f = self.cfg.topology.f(target) as usize;
         let digest = reply_digest(&payload);
@@ -1403,18 +1275,7 @@ impl PerpetualReplica {
             return;
         }
         ctx.metrics().incr("perpetual.bundles_validated");
-        self.validated_results.insert((req_no, digest));
-        let ev = Event::Result {
-            call_no: req_no,
-            digest,
-            payload,
-            shares,
-        };
-        self.submitted_results
-            .entry(req_no)
-            .or_default()
-            .push(ev.request_id());
-        self.submit_event(&ev, ctx);
+        self.submit_result(req_no, digest, payload, shares, ctx);
     }
 
     fn handle_ordered(&mut self, payload: Bytes, ctx: &mut Context<'_>) {
@@ -1454,7 +1315,7 @@ impl PerpetualReplica {
                     // later (after an outcall round-trip); either way the
                     // route back to this span survives until then.
                     insert_bounded(
-                        self.traced_replies.entry(caller).or_default(),
+                        &mut self.callers.entry(caller).or_default().traced,
                         req_no,
                         rid,
                         self.cfg.reply_retention,
@@ -1506,34 +1367,18 @@ impl PerpetualReplica {
         }
     }
 
-    fn cancel_call_timer(&mut self, call_no: u64, ctx: &mut Context<'_>) {
-        if let Some(t) = self.timers_by_call.remove(&call_no) {
-            self.call_timers.remove(&t);
-            ctx.cancel_timer(t);
-        }
-        if let Some(t) = self.retry_by_call.remove(&call_no) {
-            self.retry_timers.remove(&t);
-            ctx.cancel_timer(t);
-        }
-        self.retries.remove(&call_no);
-    }
-
     /// Marks a call resolved (first resolution wins). Cancels its timers and
     /// withdraws now-obsolete proposals from agreement. Returns whether this
     /// was the first resolution.
     fn mark_call_done(&mut self, call_no: u64, ctx: &mut Context<'_>) -> bool {
-        let Some(call) = self.calls.get_mut(&call_no) else {
+        let Some(mut live) = self.calls.resolve(call_no) else {
             return false;
         };
-        if call.done {
-            return false;
+        for t in live.timers() {
+            ctx.cancel_timer(t);
         }
-        call.done = true;
-        self.cancel_call_timer(call_no, ctx);
-        self.ro_replies.remove(&call_no);
-        let mut obsolete = self.submitted_results.remove(&call_no).unwrap_or_default();
-        obsolete.push(Event::Abort { call_no }.request_id());
-        for id in obsolete {
+        live.submitted.push(Event::Abort { call_no }.request_id());
+        for id in live.submitted {
             let actions = self.bft.drop_request(id);
             self.process_actions(actions, ctx);
         }
@@ -1543,23 +1388,23 @@ impl PerpetualReplica {
         true
     }
 
-    /// Arms the abort-timeout and retry timers for a freshly issued call.
-    fn arm_call_timers(
-        &mut self,
-        call_no: u64,
-        timeout: Option<SimDuration>,
-        ctx: &mut Context<'_>,
-    ) {
+    /// Puts a live call's request on the wire — every target replica gets
+    /// it — and arms its timers: the abort timeout when `timeout` is given
+    /// (the first transmission, which also carries it to the target), and
+    /// the next retry.
+    fn transmit(&mut self, call_no: u64, timeout: Option<SimDuration>, ctx: &mut Context<'_>) {
+        let timeout_ms = timeout.map_or(0, |d| d.as_millis());
+        let Some((target, msg)) = self.calls.request(call_no, timeout_ms) else {
+            return;
+        };
+        for node in self.cfg.topology.nodes(target).to_vec() {
+            self.send_pmsg(node, &msg, 0, ctx);
+        }
         if let Some(d) = timeout {
-            let t = ctx.set_timer(d);
-            self.call_timers.insert(t, call_no);
-            self.timers_by_call.insert(call_no, t);
+            self.calls.arm(call_no, TimerKind::Abort, ctx.set_timer(d));
         }
-        if !self.retry_by_call.contains_key(&call_no) {
-            let rt = ctx.set_timer(self.cfg.retry_interval);
-            self.retry_timers.insert(rt, call_no);
-            self.retry_by_call.insert(call_no, rt);
-        }
+        let rt = ctx.set_timer(RETRY_INTERVAL);
+        self.calls.arm(call_no, TimerKind::Retry, rt);
     }
 
     fn deliver(&mut self, ev: AppEvent, ctx: &mut Context<'_>) {
@@ -1626,77 +1471,20 @@ impl PerpetualReplica {
                 timeout,
                 read_only,
             } => {
-                if !self.cfg.topology.contains(target) || target == self.cfg.group {
+                if !self.calls.issue(call.0, target, read_only, payload) {
                     // Unknown target or self-call: abort immediately and
                     // deterministically (every replica does the same).
-                    self.calls.insert(
-                        call.0,
-                        CallState {
-                            target,
-                            target_seq: 0,
-                            done: true,
-                            read_only,
-                            payload,
-                        },
-                    );
                     self.deliver(AppEvent::Aborted { call }, ctx);
                     return;
                 }
-                if read_only {
-                    // Fast path: no per-target sequence number is consumed —
-                    // the read never enters the target's agreement stream.
-                    self.calls.insert(
-                        call.0,
-                        CallState {
-                            target,
-                            target_seq: 0,
-                            done: false,
-                            read_only: true,
-                            payload: payload.clone(),
-                        },
-                    );
-                    ctx.metrics().incr("perpetual.reads_issued");
-                    let msg = PMsg::ReadRequest {
-                        caller: self.cfg.group,
-                        caller_n: self.n,
-                        req_no: call.0,
-                        payload,
-                    };
-                    for node in self.cfg.topology.nodes(target).to_vec() {
-                        self.send_pmsg(node, &msg, 0, ctx);
-                    }
-                    self.arm_call_timers(call.0, timeout, ctx);
-                    return;
-                }
-                let seq = self.next_target_seq.entry(target.0).or_insert(0);
-                let target_seq = *seq;
-                *seq += 1;
-                self.calls.insert(
-                    call.0,
-                    CallState {
-                        target,
-                        target_seq,
-                        done: false,
-                        read_only: false,
-                        payload: payload.clone(),
-                    },
-                );
-                let target_n = self.cfg.topology.n(target);
-                let ev = Event::External {
-                    caller: self.cfg.group,
-                    caller_n: self.n,
-                    req_no: call.0,
-                    target_seq,
-                    responder: (call.0 % target_n as u64) as u32,
-                    timeout_ms: timeout.map_or(0, |d| d.as_millis()),
-                    payload,
-                };
-                ctx.metrics().incr("perpetual.calls_issued");
-                let msg = PMsg::OutRequest(ev);
-                for node in self.cfg.topology.nodes(target).to_vec() {
-                    self.send_pmsg(node, &msg, 0, ctx);
-                }
-                self.arm_call_timers(call.0, timeout, ctx);
+                // A read takes the fast path: it never enters the target's
+                // agreement stream.
+                ctx.metrics().incr(if read_only {
+                    "perpetual.reads_issued"
+                } else {
+                    "perpetual.calls_issued"
+                });
+                self.transmit(call.0, timeout, ctx);
             }
             AppCmd::Reply { to, payload } => {
                 // The recorded route is an optimization (it tracks the
@@ -1705,43 +1493,33 @@ impl PerpetualReplica {
                 // to the deterministic default responder, which every
                 // replica derives identically from the agreed request
                 // number and a retrying caller rotates past if faulty.
-                let responder = self
-                    .reply_info
-                    .get(&to.caller)
-                    .and_then(|per| per.get(&to.req_no))
+                let table = self.callers.entry(to.caller).or_default();
+                let responder = table
+                    .routes
+                    .get(&to.req_no)
                     .copied()
                     .unwrap_or((to.req_no % self.n as u64) as u32);
                 let mut payload = payload;
                 if self.cfg.fault == FaultMode::CorruptReplies {
-                    let mut bad = payload.to_vec();
-                    if let Some(b) = bad.first_mut() {
-                        *b ^= 0xff;
-                    } else {
-                        bad.push(0xff);
-                    }
-                    payload = Bytes::from(bad);
+                    payload = corrupt(&payload, 0xff);
                 }
                 // Bounded retention: the oldest reply goes once the caller
                 // can no longer be waiting on it (see
                 // DEFAULT_REPLY_RETENTION for the contract).
                 insert_bounded(
-                    self.replies_sent.entry(to.caller).or_default(),
+                    &mut table.replies,
                     to.req_no,
                     payload.clone(),
                     self.cfg.reply_retention,
                 );
                 ctx.metrics().incr("perpetual.replies_produced");
-                if let Some((origin, counter)) = self
-                    .traced_replies
-                    .get_mut(&to.caller)
-                    .and_then(|per| per.remove(&to.req_no))
-                {
+                if let Some((origin, counter)) = table.traced.remove(&to.req_no) {
                     ctx.obs_phase(self.cfg.group.0, origin, counter, Phase::Replied);
                 }
                 self.send_share(to.caller, to.req_no, responder, payload, ctx);
             }
             AppCmd::QueryTime { token } => {
-                let millis = ctx.now().as_millis() + self.cfg.epoch_offset_ms;
+                let millis = ctx.now().as_millis() + EPOCH_OFFSET_MS;
                 let ev = Event::TimeVote { token, millis };
                 // Every replica proposes its own local reading; CLBFT's
                 // request-id dedup makes the primary's suggestion win (§4.2).
@@ -1853,80 +1631,30 @@ impl Node for PerpetualReplica {
             self.process_actions(actions, ctx);
             return;
         }
-        if let Some(call_no) = self.call_timers.remove(&timer) {
-            self.timers_by_call.remove(&call_no);
-            if self.calls.get(&call_no).is_some_and(|c| c.done) {
-                return;
+        match self.calls.on_timer(timer) {
+            Some((call_no, TimerKind::Abort)) => {
+                ctx.metrics().incr("perpetual.call_timeouts");
+                self.drain_gate(ctx);
+                let ev = Event::Abort { call_no };
+                let actions = self.bft.on_request(ev.to_request());
+                self.process_actions(actions, ctx);
             }
-            ctx.metrics().incr("perpetual.call_timeouts");
-            self.abort_fired.insert(call_no);
-            self.drain_gate(ctx);
-            let ev = Event::Abort { call_no };
-            let actions = self.bft.on_request(ev.to_request());
-            self.process_actions(actions, ctx);
-            return;
-        }
-        if let Some(call_no) = self.retry_timers.remove(&timer) {
-            self.retry_by_call.remove(&call_no);
-            let Some(call) = self.calls.get(&call_no) else {
-                return;
-            };
-            if call.done {
-                return;
-            }
-            let target = call.target;
-            if call.read_only {
-                // A replicated caller must never demote a read to the
-                // ordered path at retry time: retries fire at
-                // non-deterministic moments, and consuming a target_seq
-                // then would diverge the replicas. Re-broadcasting the
-                // read is idempotent; persistent quorum failure surfaces
-                // as the call's abort timeout.
+            Some((call_no, TimerKind::Retry)) => {
+                // Retransmit to every target voter with the responder
+                // rotated; already-executed requests only re-trigger the
+                // reply path on the target side. A replicated caller must
+                // never demote a read to the ordered path here: retries
+                // fire at non-deterministic moments, and consuming a
+                // target_seq then would diverge the replicas.
+                // Re-broadcasting the read is idempotent; persistent
+                // quorum failure surfaces as the call's abort timeout.
                 ctx.metrics().incr("perpetual.call_retries");
-                ctx.metrics().incr("clbft.ro.retries");
-                let payload = call.payload.clone();
-                let msg = PMsg::ReadRequest {
-                    caller: self.cfg.group,
-                    caller_n: self.n,
-                    req_no: call_no,
-                    payload,
-                };
-                for node in self.cfg.topology.nodes(target).to_vec() {
-                    self.send_pmsg(node, &msg, 0, ctx);
+                if self.calls.get(call_no).is_some_and(|c| c.read_only) {
+                    ctx.metrics().incr("clbft.ro.retries");
                 }
-                let rt = ctx.set_timer(self.cfg.retry_interval);
-                self.retry_timers.insert(rt, call_no);
-                self.retry_by_call.insert(call_no, rt);
-                return;
+                self.transmit(call_no, None, ctx);
             }
-            // Rotate the responder and retransmit the request to every
-            // target voter; already-executed requests only re-trigger the
-            // reply path on the target side.
-            let r = self.retries.entry(call_no).or_insert(0);
-            *r += 1;
-            let retries = *r as u64;
-            ctx.metrics().incr("perpetual.call_retries");
-            let target_n = self.cfg.topology.n(target);
-            let (payload, target_seq) = match self.calls.get(&call_no) {
-                Some(c) => (c.payload.clone(), c.target_seq),
-                None => return,
-            };
-            let ev = Event::External {
-                caller: self.cfg.group,
-                caller_n: self.n,
-                req_no: call_no,
-                target_seq,
-                responder: ((call_no + retries) % target_n as u64) as u32,
-                timeout_ms: 0,
-                payload,
-            };
-            let msg = PMsg::OutRequest(ev);
-            for node in self.cfg.topology.nodes(target).to_vec() {
-                self.send_pmsg(node, &msg, 0, ctx);
-            }
-            let rt = ctx.set_timer(self.cfg.retry_interval);
-            self.retry_timers.insert(rt, call_no);
-            self.retry_by_call.insert(call_no, rt);
+            None => {}
         }
     }
 }

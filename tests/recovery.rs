@@ -6,7 +6,9 @@
 //! proactive-recovery rotation completes under client load with zero
 //! client-visible errors.
 
-use perpetual_ws::{PassiveService, PassiveUtils, SystemBuilder};
+use perpetual_ws::{
+    PassiveService, PassiveUtils, Poll, Service, ServiceCtx, SystemBuilder, WsEvent,
+};
 use pws_perpetual::FaultMode;
 use pws_simnet::{SimDuration, SimTime};
 use pws_soap::{MessageContext, XmlNode};
@@ -141,6 +143,95 @@ fn stale_drop_recovery_is_deterministic() {
     };
     assert_eq!(run(77), run(77));
     assert_ne!(run(77), run(78));
+}
+
+/// A replicated caller that keeps `WINDOW` outcalls in flight at a slow
+/// target for the whole run, with the snapshot a restored replica needs.
+struct WindowCaller {
+    sent: u64,
+    done: u64,
+}
+
+const WINDOW: u64 = 12;
+
+impl Service for WindowCaller {
+    fn on_event(&mut self, ev: WsEvent, ctx: &mut ServiceCtx<'_>) -> Poll {
+        if let WsEvent::Reply { .. } = ev {
+            self.done += 1;
+        }
+        while self.sent < self.done + WINDOW {
+            let mut call = MessageContext::request("urn:svc:slow", "add");
+            call.body_mut().text = "1".into();
+            let _ = ctx.send(call);
+            self.sent += 1;
+        }
+        Poll::any_reply()
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        [self.sent.to_be_bytes(), self.done.to_be_bytes()].concat()
+    }
+
+    fn restore(&mut self, snapshot: &[u8]) {
+        let word = |i: usize| u64::from_be_bytes(snapshot[i..i + 8].try_into().unwrap());
+        (self.sent, self.done) = (word(0), word(8));
+    }
+}
+
+/// A [`Counter`] that takes 150 ms per request: with `WINDOW` calls queued
+/// at it each outcall stays unanswered well past the 700 ms retry interval.
+struct SlowCounter(Counter);
+
+impl PassiveService for SlowCounter {
+    fn handle(&mut self, req: MessageContext, u: &mut PassiveUtils) -> MessageContext {
+        u.spend(SimDuration::from_millis(150));
+        self.0.handle(req, u)
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.0.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &[u8]) {
+        self.0.restore(snapshot)
+    }
+}
+
+#[test]
+fn restored_outcalls_are_rearmed_in_the_same_order_every_run() {
+    // A wiped caller replica installs a snapshot holding `WINDOW`
+    // unresolved outcalls and arms one retry timer for each, all at the
+    // same instant; 700 ms on they fire in the order they were set, and
+    // each retransmits its call. That order must come from the call table,
+    // not from a hasher's per-process random state: two runs at one seed,
+    // in one process, must produce the same trace.
+    let run = || {
+        let mut b = SystemBuilder::new(9_006);
+        b.checkpoint_interval(8);
+        b.max_batch_size(1);
+        b.service("front", 4, |_| Box::new(WindowCaller { sent: 0, done: 0 }));
+        b.passive_service("slow", 4, |_| Box::new(SlowCounter(Counter { total: 0 })));
+        b.fault("front", 3, FaultMode::StaleDrop { after_ms: 4_000 });
+        let mut sys = b.build();
+        sys.run_until(SimTime::from_secs(12));
+        let m = sys.metrics();
+        assert_eq!(m.counter("clbft.recovery.stale_drops"), 1);
+        assert!(m.counter("clbft.recovery.installs") >= 1, "state installed");
+        let (issued, completed) = (
+            m.counter("perpetual.calls_issued"),
+            m.counter("perpetual.calls_completed"),
+        );
+        assert!(
+            issued - completed >= 3 * WINDOW,
+            "the window stayed full to the end: {issued} issued, {completed} completed"
+        );
+        assert!(
+            m.counter("perpetual.call_retries") >= 8,
+            "restored calls outlived their retry timers"
+        );
+        sys.sim_mut().trace_digest().value()
+    };
+    assert_eq!(run(), run(), "same seed, same process, same trace");
 }
 
 #[test]
