@@ -75,6 +75,12 @@ impl Encoder {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends a length-prefixed UTF-8 string (the bytes of
+    /// [`Encoder::put_bytes`]).
+    pub fn put_str(&mut self, v: &str) {
+        self.put_bytes(v.as_bytes());
+    }
+
     /// Appends a 32-byte digest.
     pub fn put_digest(&mut self, d: &Digest32) {
         self.buf.extend_from_slice(d.as_bytes());
@@ -134,6 +140,11 @@ impl<'a> Decoder<'a> {
             return Err(WireError::new("length prefix too large"));
         }
         Ok(Bytes::copy_from_slice(self.take(len)?))
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String, WireError> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| WireError::new("string is not UTF-8"))
     }
 
     /// Reads a 32-byte digest.

@@ -20,7 +20,7 @@ use pws_soap::engine::Engine;
 use pws_soap::{Envelope, Fault, MessageContext};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Synthetic `wsa:MessageID` prefix for inbound requests that arrive
@@ -47,13 +47,13 @@ struct HostState {
     /// lifetime.
     rng: StdRng,
     /// Incoming request `wsa:MessageID` → reply handle.
-    handles: HashMap<String, RequestHandle>,
+    handles: BTreeMap<String, RequestHandle>,
     /// Outcall token assignment (deterministic dense counter).
     next_token: u64,
     /// Perpetual call id → token, for reply/abort correlation.
-    calls: HashMap<u64, CallToken>,
+    calls: BTreeMap<u64, CallToken>,
     /// Token → request `wsa:MessageID`, for abort fault correlation.
-    token_msg: HashMap<CallToken, String>,
+    token_msg: BTreeMap<CallToken, String>,
     /// Sends that failed locally (unroutable endpoint, cross-shard key,
     /// marshal error), with the fault reason: surfaced as deterministic
     /// abort faults after the current event.
@@ -283,10 +283,10 @@ impl ServiceExecutor {
                 uris,
                 ws_cost,
                 rng: StdRng::seed_from_u64(0),
-                handles: HashMap::new(),
+                handles: BTreeMap::new(),
                 next_token: 0,
-                calls: HashMap::new(),
-                token_msg: HashMap::new(),
+                calls: BTreeMap::new(),
+                token_msg: BTreeMap::new(),
                 failed_sends: Vec::new(),
             },
             service_name: name,
@@ -376,15 +376,6 @@ const POLL_DONE: u8 = 2;
 /// Cap on any one collection in a host snapshot (mirrors the wire codec's
 /// allocation caps).
 const MAX_HOST_ITEMS: usize = 1 << 20;
-
-fn put_str(e: &mut Encoder, s: &str) {
-    e.put_bytes(s.as_bytes());
-}
-
-fn get_str(d: &mut Decoder<'_>) -> Result<String, WireError> {
-    let b = d.bytes()?;
-    String::from_utf8(b.to_vec()).map_err(|_| host_snap_err())
-}
 
 fn put_mc(e: &mut Encoder, mc: &MessageContext) {
     let bytes = mc
@@ -485,7 +476,7 @@ impl ServiceExecutor {
     /// maps, the queued (not yet admitted) events in agreed order, the
     /// declared wait set, the raw RNG state (restored in O(1), never by
     /// replaying the draw history), and the engine's message-id counter.
-    /// All maps are emitted in sorted key order so correct replicas
+    /// The maps are ordered and walked in key order, so correct replicas
     /// produce byte-identical snapshots at the same boundary.
     fn encode_host(&self) -> Vec<u8> {
         let st = &self.state;
@@ -497,28 +488,21 @@ impl ServiceExecutor {
         e.put_u64(st.next_token);
         e.put_bytes(&st.rng.state_bytes());
         e.put_u64(st.engine.id_counter());
-        let mut handles: Vec<(&String, &RequestHandle)> = st.handles.iter().collect();
-        handles.sort_by_key(|(id, _)| id.as_str());
-        e.put_u32(handles.len() as u32);
-        for (id, h) in handles {
-            put_str(&mut e, id);
+        e.put_u32(st.handles.len() as u32);
+        for (id, h) in &st.handles {
+            e.put_str(id);
             e.put_u32(h.caller.0);
             e.put_u64(h.req_no);
         }
-        let mut calls: Vec<(u64, u64)> = st.calls.iter().map(|(c, t)| (*c, t.0)).collect();
-        calls.sort_unstable();
-        e.put_u32(calls.len() as u32);
-        for (c, t) in calls {
-            e.put_u64(c);
-            e.put_u64(t);
+        e.put_u32(st.calls.len() as u32);
+        for (c, t) in &st.calls {
+            e.put_u64(*c);
+            e.put_u64(t.0);
         }
-        let mut token_msg: Vec<(u64, &String)> =
-            st.token_msg.iter().map(|(t, m)| (t.0, m)).collect();
-        token_msg.sort_by_key(|(t, _)| *t);
-        e.put_u32(token_msg.len() as u32);
-        for (t, m) in token_msg {
-            e.put_u64(t);
-            put_str(&mut e, m);
+        e.put_u32(st.token_msg.len() as u32);
+        for (t, m) in &st.token_msg {
+            e.put_u64(t.0);
+            e.put_str(m);
         }
         put_poll(&mut e, &self.wait);
         e.put_u32(self.queue.len() as u32);
@@ -540,24 +524,25 @@ impl ServiceExecutor {
             return Err(host_snap_err());
         }
         let id_counter = d.u64()?;
-        let handles: HashMap<String, RequestHandle> =
+        let handles: BTreeMap<String, RequestHandle> =
             counted(&mut d, MAX_HOST_ITEMS, host_snap_err, |d| {
-                let id = get_str(d)?;
+                let id = d.str()?;
                 let caller = pws_perpetual::GroupId(d.u32()?);
                 let req_no = d.u64()?;
                 Ok((id, RequestHandle { caller, req_no }))
             })?
             .into_iter()
             .collect();
-        let calls: HashMap<u64, CallToken> = counted(&mut d, MAX_HOST_ITEMS, host_snap_err, |d| {
-            Ok((d.u64()?, CallToken(d.u64()?)))
-        })?
-        .into_iter()
-        .collect();
-        let token_msg: HashMap<CallToken, String> =
+        let calls: BTreeMap<u64, CallToken> =
+            counted(&mut d, MAX_HOST_ITEMS, host_snap_err, |d| {
+                Ok((d.u64()?, CallToken(d.u64()?)))
+            })?
+            .into_iter()
+            .collect();
+        let token_msg: BTreeMap<CallToken, String> =
             counted(&mut d, MAX_HOST_ITEMS, host_snap_err, |d| {
                 let t = CallToken(d.u64()?);
-                Ok((t, get_str(d)?))
+                Ok((t, d.str()?))
             })?
             .into_iter()
             .collect();

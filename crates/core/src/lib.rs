@@ -87,6 +87,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// As in `pws-perpetual`: hash-map order must not reach a message, a timer or
+// a snapshot byte. The lint sees only `for` loops; `.iter()`/`.keys()`
+// chains are covered by keeping such state in ordered maps, not by this.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod api;
 pub mod deployment;

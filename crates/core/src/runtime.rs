@@ -250,21 +250,19 @@ pub struct SystemBuilder {
     clients: Vec<ClientSpec>,
 }
 
-/// Resolves the `PWS_AUDIT` / `PWS_AUDIT_SMOKE` environment opt-in used
-/// when [`SystemBuilder::audit`] was not called: `1`/`record`/`on` audit
-/// and keep running, `strict`/`panic` fail the run at the first violation
-/// (`PWS_AUDIT_SMOKE=1` is the CI alias for strict).
+/// Resolves the `PWS_AUDIT` environment opt-in used when
+/// [`SystemBuilder::audit`] was not called: `1`/`record`/`on` audit and
+/// keep running, `strict`/`panic` fail the run at the first violation.
 fn audit_mode_from_env() -> Option<AuditMode> {
-    if let Ok(v) = std::env::var("PWS_AUDIT") {
-        return match v.to_ascii_lowercase().as_str() {
-            "1" | "record" | "on" => Some(AuditMode::Record),
-            "strict" | "panic" => Some(AuditMode::Strict),
-            _ => None,
-        };
+    match std::env::var("PWS_AUDIT")
+        .ok()?
+        .to_ascii_lowercase()
+        .as_str()
+    {
+        "1" | "record" | "on" => Some(AuditMode::Record),
+        "strict" | "panic" => Some(AuditMode::Strict),
+        _ => None,
     }
-    std::env::var("PWS_AUDIT_SMOKE")
-        .is_ok_and(|v| v == "1")
-        .then_some(AuditMode::Strict)
 }
 
 impl std::fmt::Debug for SystemBuilder {
@@ -323,8 +321,8 @@ impl SystemBuilder {
     /// simulation's event schedule and trace digest stay byte-identical.
     ///
     /// When this is not called, the `PWS_AUDIT` environment variable
-    /// (`1`/`record`/`on` → record, `strict`/`panic` → strict) or the CI
-    /// alias `PWS_AUDIT_SMOKE=1` (strict) enables it instead.
+    /// (`1`/`record`/`on` → record, `strict`/`panic` → strict) enables it
+    /// instead.
     pub fn audit(&mut self, mode: AuditMode) -> &mut Self {
         self.audit = Some(mode);
         self
@@ -1425,6 +1423,16 @@ impl std::fmt::Debug for ScriptedClient {
 }
 
 impl ScriptedClient {
+    /// The scripted operation's request envelope with `text` as its body
+    /// (which is also its routing key).
+    fn envelope(&self, text: String) -> MessageContext {
+        let mut mc = MessageContext::request(&self.target_uri, &self.op);
+        mc.body_mut().name = self.op.clone();
+        mc.body_mut().text = text;
+        mc.addressing_mut().reply_to = Some("urn:client".to_owned());
+        mc
+    }
+
     fn fire(&mut self, ctx: &mut Context<'_>) {
         // An unroutable request (cross-shard key, unknown service) burns
         // its slot as a recorded error and the loop moves to the next one
@@ -1434,14 +1442,11 @@ impl ScriptedClient {
         while self.sent < self.total {
             let seq = self.sent;
             self.sent += 1;
-            let mut mc = MessageContext::request(&self.target_uri, &self.op);
-            mc.body_mut().name = self.op.clone();
-            mc.body_mut().text = if self.payload.is_empty() {
+            let mut mc = self.envelope(if self.payload.is_empty() {
                 seq.to_string()
             } else {
                 self.payload.clone()
-            };
-            mc.addressing_mut().reply_to = Some("urn:client".to_owned());
+            });
             let target = match self.fixed {
                 Some(gid) => gid,
                 None => match self.uris.route(&self.target_uri, routing_key(&mc)) {
@@ -1494,10 +1499,7 @@ impl ScriptedClient {
     /// `false` when the retry cannot be routed (the fault then surfaces as
     /// an ordinary reply).
     fn refire(&mut self, old_call: u64, key: String, ctx: &mut Context<'_>) -> bool {
-        let mut mc = MessageContext::request(&self.target_uri, &self.op);
-        mc.body_mut().name = self.op.clone();
-        mc.body_mut().text = key.clone();
-        mc.addressing_mut().reply_to = Some("urn:client".to_owned());
+        let mut mc = self.envelope(key.clone());
         let Ok((_, target)) = self.uris.route(&self.target_uri, routing_key(&mc)) else {
             return false;
         };

@@ -119,14 +119,6 @@ fn txn_span_id(txn: &str) -> u64 {
     h
 }
 
-fn put_str(e: &mut Encoder, s: &str) {
-    e.put_bytes(s.as_bytes());
-}
-
-fn get_str(d: &mut Decoder<'_>) -> Result<String, WireError> {
-    String::from_utf8(d.bytes()?.to_vec()).map_err(|_| txn_err())
-}
-
 /// A durable two-phase-commit record, ordered in a shard's CLBFT log as a
 /// config-flagged request (own sequence slot, digest-covered flags byte).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,21 +159,21 @@ impl TxnRecord {
                 keys,
             } => {
                 e.put_u8(TXN_PREPARE);
-                put_str(&mut e, txn);
+                e.put_str(txn);
                 e.put_u32(*coordinator);
-                put_str(&mut e, op);
+                e.put_str(op);
                 e.put_u32(keys.len() as u32);
                 for k in keys {
-                    put_str(&mut e, k);
+                    e.put_str(k);
                 }
             }
             TxnRecord::Commit { txn } => {
                 e.put_u8(TXN_COMMIT);
-                put_str(&mut e, txn);
+                e.put_str(txn);
             }
             TxnRecord::Abort { txn } => {
                 e.put_u8(TXN_ABORT);
-                put_str(&mut e, txn);
+                e.put_str(txn);
             }
         }
         e.finish().to_vec()
@@ -197,10 +189,10 @@ impl TxnRecord {
         let mut d = Decoder::new(buf);
         let rec = match d.u8()? {
             TXN_PREPARE => {
-                let txn = get_str(&mut d)?;
+                let txn = d.str()?;
                 let coordinator = d.u32()?;
-                let op = get_str(&mut d)?;
-                let keys = counted(&mut d, MAX_TXN_KEYS, txn_err, get_str)?;
+                let op = d.str()?;
+                let keys = counted(&mut d, MAX_TXN_KEYS, txn_err, |d| d.str())?;
                 TxnRecord::Prepare {
                     txn,
                     coordinator,
@@ -208,12 +200,8 @@ impl TxnRecord {
                     keys,
                 }
             }
-            TXN_COMMIT => TxnRecord::Commit {
-                txn: get_str(&mut d)?,
-            },
-            TXN_ABORT => TxnRecord::Abort {
-                txn: get_str(&mut d)?,
-            },
+            TXN_COMMIT => TxnRecord::Commit { txn: d.str()? },
+            TXN_ABORT => TxnRecord::Abort { txn: d.str()? },
             _ => return Err(txn_err()),
         };
         d.finish()?;
@@ -304,14 +292,14 @@ impl ReshardImport {
 fn put_entries(e: &mut Encoder, entries: &[(String, Vec<u8>)]) {
     e.put_u32(entries.len() as u32);
     for (k, v) in entries {
-        put_str(e, k);
+        e.put_str(k);
         e.put_bytes(v);
     }
 }
 
 fn get_entries(d: &mut Decoder<'_>) -> Result<Vec<(String, Vec<u8>)>, WireError> {
     counted(d, MAX_RESHARD_ENTRIES, txn_err, |d| {
-        Ok((get_str(d)?, d.bytes()?.to_vec()))
+        Ok((d.str()?, d.bytes()?.to_vec()))
     })
 }
 
@@ -1154,43 +1142,43 @@ impl Service for TxnShim {
         e.put_u32(self.epoch_shards);
         e.put_u32(self.locks.locks.len() as u32);
         for (k, t) in &self.locks.locks {
-            put_str(&mut e, k);
-            put_str(&mut e, t);
+            e.put_str(k);
+            e.put_str(t);
         }
         e.put_u32(self.prepared.len() as u32);
         for (txn, p) in &self.prepared {
-            put_str(&mut e, txn);
-            put_str(&mut e, &p.op);
+            e.put_str(txn);
+            e.put_str(&p.op);
             e.put_u32(p.keys.len() as u32);
             for k in &p.keys {
-                put_str(&mut e, k);
+                e.put_str(k);
             }
         }
         e.put_u32(self.finished.len() as u32);
         for (txn, text) in &self.finished {
-            put_str(&mut e, txn);
-            put_str(&mut e, text);
+            e.put_str(txn);
+            e.put_str(text);
         }
         e.put_u32(self.decided.len() as u32);
         for (txn, commit) in &self.decided {
-            put_str(&mut e, txn);
+            e.put_str(txn);
             e.put_u8(u8::from(*commit));
         }
         e.put_u32(self.coord.len() as u32);
         for (txn, c) in &self.coord {
-            put_str(&mut e, txn);
-            put_str(&mut e, &c.op);
+            e.put_str(txn);
+            e.put_str(&c.op);
             e.put_bytes(&c.orig.to_bytes().expect("agreed request re-marshals"));
             e.put_u32(c.local_keys.len() as u32);
             for k in &c.local_keys {
-                put_str(&mut e, k);
+                e.put_str(k);
             }
             e.put_u32(c.remote.len() as u32);
             for (s, keys) in &c.remote {
                 e.put_u32(*s);
                 e.put_u32(keys.len() as u32);
                 for k in keys {
-                    put_str(&mut e, k);
+                    e.put_str(k);
                 }
             }
             e.put_u32(c.votes.len() as u32);
@@ -1206,7 +1194,7 @@ impl Service for TxnShim {
             e.put_u32(c.results.len() as u32);
             for (s, d) in &c.results {
                 e.put_u32(*s);
-                put_str(&mut e, d);
+                e.put_str(d);
             }
             e.put_u32(c.acked.len() as u32);
             for s in &c.acked {
@@ -1217,7 +1205,7 @@ impl Service for TxnShim {
             e.put_u32(calls.len() as u32);
             for (raw, (txn, shard)) in calls {
                 e.put_u64(*raw);
-                put_str(&mut e, txn);
+                e.put_str(txn);
                 e.put_u32(*shard);
             }
         }
@@ -1229,7 +1217,7 @@ impl Service for TxnShim {
         }
         e.put_u32(self.fenced.len() as u32);
         for k in &self.fenced {
-            put_str(&mut e, k);
+            e.put_str(k);
         }
         e.put_u8(u8::from(self.gate_closed));
         e.put_u32(self.imported_sources.len() as u32);
@@ -1241,7 +1229,7 @@ impl Service for TxnShim {
             Some((n, text)) => {
                 e.put_u8(1);
                 e.put_u32(*n);
-                put_str(&mut e, text);
+                e.put_str(text);
             }
         }
         e.finish().to_vec()
@@ -1266,33 +1254,33 @@ impl TxnShim {
         let inner_snap = d.bytes()?;
         let epoch_shards = d.u32()?;
         let locks: BTreeMap<String, String> =
-            counted(&mut d, CAP, txn_err, |d| Ok((get_str(d)?, get_str(d)?)))?
+            counted(&mut d, CAP, txn_err, |d| Ok((d.str()?, d.str()?)))?
                 .into_iter()
                 .collect();
         let prepared: BTreeMap<String, Prep> = counted(&mut d, CAP, txn_err, |d| {
-            let txn = get_str(d)?;
-            let op = get_str(d)?;
-            let keys = counted(d, MAX_TXN_KEYS, txn_err, get_str)?;
+            let txn = d.str()?;
+            let op = d.str()?;
+            let keys = counted(d, MAX_TXN_KEYS, txn_err, |d| d.str())?;
             Ok((txn, Prep { op, keys }))
         })?
         .into_iter()
         .collect();
         let finished: BTreeMap<String, String> =
-            counted(&mut d, CAP, txn_err, |d| Ok((get_str(d)?, get_str(d)?)))?
+            counted(&mut d, CAP, txn_err, |d| Ok((d.str()?, d.str()?)))?
                 .into_iter()
                 .collect();
         let decided: BTreeMap<String, bool> =
-            counted(&mut d, CAP, txn_err, |d| Ok((get_str(d)?, d.u8()? != 0)))?
+            counted(&mut d, CAP, txn_err, |d| Ok((d.str()?, d.u8()? != 0)))?
                 .into_iter()
                 .collect();
         let coord: BTreeMap<String, Coord> = counted(&mut d, CAP, txn_err, |d| {
-            let txn = get_str(d)?;
-            let op = get_str(d)?;
+            let txn = d.str()?;
+            let op = d.str()?;
             let orig = MessageContext::from_bytes(&d.bytes()?).map_err(|_| txn_err())?;
-            let local_keys = counted(d, MAX_TXN_KEYS, txn_err, get_str)?;
+            let local_keys = counted(d, MAX_TXN_KEYS, txn_err, |d| d.str())?;
             let remote: BTreeMap<u32, Vec<String>> = counted(d, CAP, txn_err, |d| {
                 let s = d.u32()?;
-                let keys = counted(d, MAX_TXN_KEYS, txn_err, get_str)?;
+                let keys = counted(d, MAX_TXN_KEYS, txn_err, |d| d.str())?;
                 Ok((s, keys))
             })?
             .into_iter()
@@ -1308,7 +1296,7 @@ impl TxnShim {
                 _ => return Err(txn_err()),
             };
             let results: BTreeMap<u32, String> =
-                counted(d, CAP, txn_err, |d| Ok((d.u32()?, get_str(d)?)))?
+                counted(d, CAP, txn_err, |d| Ok((d.u32()?, d.str()?)))?
                     .into_iter()
                     .collect();
             let acked: BTreeSet<u32> = counted(d, CAP, txn_err, |d| d.u32())?.into_iter().collect();
@@ -1332,7 +1320,7 @@ impl TxnShim {
         for _ in 0..2 {
             let m: BTreeMap<u64, (String, u32)> = counted(&mut d, CAP, txn_err, |d| {
                 let raw = d.u64()?;
-                let txn = get_str(d)?;
+                let txn = d.str()?;
                 let shard = d.u32()?;
                 Ok((raw, (txn, shard)))
             })?
@@ -1346,7 +1334,7 @@ impl TxnShim {
                 MessageContext::from_bytes(&d.bytes()?).map_err(|_| txn_err())
             })?);
         }
-        let fenced: BTreeSet<String> = counted(&mut d, CAP, txn_err, get_str)?
+        let fenced: BTreeSet<String> = counted(&mut d, CAP, txn_err, |d| d.str())?
             .into_iter()
             .collect();
         let gate_closed = d.u8()? != 0;
@@ -1355,7 +1343,7 @@ impl TxnShim {
             .collect();
         let last_export = match d.u8()? {
             0 => None,
-            1 => Some((d.u32()?, get_str(&mut d)?)),
+            1 => Some((d.u32()?, d.str()?)),
             _ => return Err(txn_err()),
         };
         d.finish()?;
@@ -1426,9 +1414,9 @@ mod tests {
         // the decoder must reject before allocating.
         let mut e = Encoder::new();
         e.put_u8(TXN_PREPARE);
-        put_str(&mut e, "t");
+        e.put_str("t");
         e.put_u32(0);
-        put_str(&mut e, "op");
+        e.put_str("op");
         e.put_u32(MAX_TXN_KEYS as u32 + 1);
         assert!(TxnRecord::decode(&e.finish()).is_err());
     }

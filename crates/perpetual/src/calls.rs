@@ -9,15 +9,19 @@
 //! The table owns no clock, voter, keys or executor. The replica sets and
 //! cancels the simulator timers and tells the table their ids; the table
 //! keeps the one `TimerId → call` index and says which ids to cancel.
+//! Reply validation lives here too ([`Calls::bundle_ok`],
+//! [`Calls::read_vote`]), on keys the caller lends.
 
 use crate::event::Event;
 use crate::group::{GroupId, Topology};
-use crate::messages::{PMsg, ShareVotes};
+use crate::messages::{reply_digest, request_tag, PMsg, ShareVotes};
 use crate::snapshot::CallSnap;
 use bytes::Bytes;
 use pws_clbft::RequestId;
+use pws_crypto::auth::{verify_bundle, BundleShare};
+use pws_crypto::keys::KeyTable;
 use pws_crypto::sha256::Digest32;
-use pws_simnet::TimerId;
+use pws_simnet::{Context, SimDuration, TimerId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -73,10 +77,19 @@ impl Live {
     }
 }
 
+/// Consumes `target`'s next dense sequence number.
+fn take_seq(next_target_seq: &mut BTreeMap<u32, u64>, target: GroupId) -> u64 {
+    let next = next_target_seq.entry(target.0).or_insert(0);
+    *next += 1;
+    *next - 1
+}
+
 /// The outcall table of one replica of `group`.
 #[derive(Debug)]
 pub(crate) struct Calls {
     group: GroupId,
+    /// This replica's index in `group`: whom reply shares must be MACed for.
+    index: u32,
     topology: Arc<Topology>,
     calls: BTreeMap<u64, Call>,
     /// Every pending timer of every live call.
@@ -87,9 +100,10 @@ pub(crate) struct Calls {
 }
 
 impl Calls {
-    pub(crate) fn new(group: GroupId, topology: Arc<Topology>) -> Self {
+    pub(crate) fn new(group: GroupId, index: u32, topology: Arc<Topology>) -> Self {
         Calls {
             group,
+            index,
             topology,
             calls: BTreeMap::new(),
             timers: BTreeMap::new(),
@@ -105,8 +119,9 @@ impl Calls {
         self.calls.get(&call_no)
     }
 
-    pub(crate) fn get_mut(&mut self, call_no: u64) -> Option<&mut Call> {
-        self.calls.get_mut(&call_no)
+    /// The transient half of a call that is still live.
+    pub(crate) fn live_mut(&mut self, call_no: u64) -> Option<&mut Live> {
+        self.calls.get_mut(&call_no)?.live.as_deref_mut()
     }
 
     /// Records a freshly issued call. An ordered call consumes the next
@@ -124,9 +139,7 @@ impl Calls {
         let live = self.topology.contains(target) && target != self.group;
         let mut target_seq = 0;
         if live && !read_only {
-            let next = self.next_target_seq.entry(target.0).or_insert(0);
-            target_seq = *next;
-            *next += 1;
+            target_seq = take_seq(&mut self.next_target_seq, target);
         }
         let call = Call {
             target,
@@ -137,6 +150,28 @@ impl Calls {
         };
         self.calls.insert(call_no, call);
         live
+    }
+
+    /// An unreplicated caller's retry of a live call: a fast-path read
+    /// moves to the ordered path (`Some(true)`), taking its `target_seq`
+    /// only now and dropping its tally; an ordered call rotates its
+    /// responder (`Some(false)`). `None` if the call is not live. Only a
+    /// caller that is alone may demote — it decides when, and there is
+    /// nobody to diverge from. A replicated driver's retries fire at
+    /// non-deterministic moments, and consuming a sequence then would split
+    /// the replicas: its retry timer re-broadcasts the read instead.
+    pub(crate) fn demote_or_rotate(&mut self, call_no: u64) -> Option<bool> {
+        let call = self.calls.get_mut(&call_no)?;
+        let live = call.live.as_mut()?;
+        let demoted = call.read_only;
+        if demoted {
+            live.ro_votes = ShareVotes::default();
+            call.read_only = false;
+            call.target_seq = take_seq(&mut self.next_target_seq, call.target);
+        } else {
+            live.retries += 1;
+        }
+        Some(demoted)
     }
 
     /// The request to put on the wire for a live call, with the group to
@@ -171,7 +206,7 @@ impl Calls {
 
     /// Files `timer` as a live call's pending `kind` timer.
     pub(crate) fn arm(&mut self, call_no: u64, kind: TimerKind, timer: TimerId) {
-        let Some(live) = self.calls.get_mut(&call_no).and_then(|c| c.live.as_mut()) else {
+        let Some(live) = self.live_mut(call_no) else {
             return;
         };
         let slot = match kind {
@@ -213,6 +248,84 @@ impl Calls {
             self.timers.remove(&t);
         }
         Some(live)
+    }
+
+    /// Resolves a call and drops its record; `false` if there is none. For
+    /// an unreplicated caller only, which has no snapshot to keep resolved
+    /// calls for: a late reply finds no call, as it would find a resolved
+    /// one.
+    pub(crate) fn remove(&mut self, call_no: u64) -> bool {
+        self.resolve(call_no);
+        self.calls.remove(&call_no).is_some()
+    }
+
+    /// Whether `shares` prove `payload` to be the target's reply to live
+    /// call `call_no`: with the payload's digest, whether `f_t + 1` of them
+    /// carry a good MAC over it for this replica. `None` — before any MAC
+    /// work, so there is none to charge — when there is no such live call
+    /// or a share names a group other than its target.
+    pub(crate) fn bundle_ok(
+        &self,
+        keys: &mut KeyTable,
+        call_no: u64,
+        payload: &[u8],
+        shares: &[BundleShare],
+    ) -> Option<(Digest32, bool)> {
+        let call = self.calls.get(&call_no).filter(|c| c.live.is_some())?;
+        if shares.iter().any(|s| s.from.group != call.target.0) {
+            return None;
+        }
+        let digest = reply_digest(payload);
+        let me = self.topology.principal(self.group, self.index);
+        let tag = request_tag(self.group, call_no);
+        let need = self.topology.f(call.target) as usize + 1;
+        Some((digest, verify_bundle(keys, shares, &tag, &digest, me, need)))
+    }
+
+    /// Tallies one target replica's answer to live fast-path read
+    /// `call_no`; once `2f_t + 1` agree, hands back their digest, the
+    /// payload and the shares that prove it. One counted vote per target
+    /// replica, taken before any MAC work: a Byzantine replica spraying
+    /// conflicting replies burns its single vote and costs the receiver
+    /// nothing. The share must vouch for the payload it came with and
+    /// carry a good MAC for this replica, whose check is charged `mac` on
+    /// the caller's clock — the one thing `ctx` is lent for, besides the
+    /// two `clbft.ro.*` counters both kinds of caller keep.
+    pub(crate) fn read_vote(
+        &mut self,
+        keys: &mut KeyTable,
+        mac: SimDuration,
+        call_no: u64,
+        payload: Bytes,
+        share: BundleShare,
+        ctx: &mut Context<'_>,
+    ) -> Option<(Digest32, Bytes, Vec<BundleShare>)> {
+        let call = self.calls.get_mut(&call_no).filter(|c| c.read_only)?;
+        let live = call.live.as_mut()?;
+        let (target, digest) = (call.target, share.reply_digest);
+        let (target_f, target_n) = (self.topology.f(target), self.topology.n(target));
+        if share.from.group != target.0
+            || share.from.replica >= target_n
+            || digest != reply_digest(&payload)
+        {
+            return None;
+        }
+        if !live.ro_votes.vote(share.from.replica) {
+            ctx.metrics().incr("clbft.ro.duplicate_votes");
+            return None;
+        }
+        let me = self.topology.principal(self.group, self.index);
+        ctx.spend(mac);
+        if !share.verify(keys, &request_tag(self.group, call_no), me) {
+            ctx.metrics().incr("clbft.ro.shares_rejected");
+            return None;
+        }
+        if live.ro_votes.add(payload, share) < (2 * target_f + 1).min(target_n) as usize {
+            return None;
+        }
+        let votes = std::mem::take(&mut live.ro_votes);
+        let (payload, shares) = votes.take(&digest).expect("quorum digest present");
+        Some((digest, payload, shares))
     }
 
     /// The durable half, ascending by call number and target group.
@@ -285,7 +398,7 @@ impl Calls {
 mod tests {
     use super::*;
     use crate::snapshot::DriverSnapshot;
-    use pws_simnet::{Context, Node, NodeId, SimDuration, SimTime, Simulation};
+    use pws_simnet::{Node, NodeId, SimTime, Simulation};
 
     const ME: GroupId = GroupId(0);
     const TARGET: GroupId = GroupId(1);
@@ -295,7 +408,7 @@ mod tests {
         let mut topo = Topology::new();
         topo.register(ME, (0..4).map(NodeId::from_raw).collect());
         topo.register(TARGET, (4..8).map(NodeId::from_raw).collect());
-        Calls::new(ME, Arc::new(topo))
+        Calls::new(ME, 0, Arc::new(topo))
     }
 
     /// `k` real timer ids. A `TimerId` only comes out of the simulator, so
@@ -378,7 +491,7 @@ mod tests {
             c.arm(call_no, kind, t[i]);
         }
         let ids = [RequestId::new(7, 0), RequestId::new(7, 1)];
-        c.get_mut(0).unwrap().live.as_mut().unwrap().submitted = ids.to_vec();
+        c.live_mut(0).unwrap().submitted = ids.to_vec();
         let resolved = c.resolve(0).unwrap();
         assert_eq!(resolved.submitted, ids);
         assert_eq!(resolved.timers().collect::<Vec<_>>(), [t[0], t[1]]);
@@ -412,6 +525,24 @@ mod tests {
     }
 
     #[test]
+    fn demoting_a_read_takes_its_target_seq_then_and_retries_rotate_it() {
+        let mut c = calls();
+        c.issue(0, TARGET, true, payload("read"));
+        c.issue(1, TARGET, false, payload("write"));
+        assert_eq!(c.demote_or_rotate(0), Some(true));
+        assert_eq!(c.get(0).unwrap().target_seq, 1, "after the write's 0");
+        assert_eq!(responder_of(&c, 0), 0, "demoting rotated nothing");
+        assert_eq!(c.demote_or_rotate(0), Some(false), "ordered by now");
+        assert_eq!(responder_of(&c, 0), 1);
+        assert_eq!(c.demote_or_rotate(1), Some(false));
+        assert_eq!(responder_of(&c, 1), 2, "(1 + 1) % 4");
+        assert_eq!(c.snapshot().1, [(TARGET.0, 2)]);
+        assert!(c.remove(0) && !c.remove(0));
+        assert_eq!(c.demote_or_rotate(0), None, "gone");
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
     fn unreachable_targets_are_recorded_resolved() {
         let mut c = calls();
         assert!(!c.issue(0, ME, false, payload("self")));
@@ -431,7 +562,7 @@ mod tests {
         c.arm(0, TimerKind::Retry, t[0]);
         c.arm(1, TimerKind::Abort, t[1]);
         c.arm(1, TimerKind::Retry, t[2]);
-        c.get_mut(1).unwrap().live.as_mut().unwrap().abort_fired = true;
+        c.live_mut(1).unwrap().abort_fired = true;
 
         // A peer two calls ahead: it resolved call 0 and issued 3 and 4.
         let mut peer = calls();

@@ -7,16 +7,14 @@
 //! a voter, so plain simulation nodes (such as the TPC-W remote browser
 //! emulators) can invoke replicated services cheaply.
 
+use crate::calls::Calls;
 use crate::cost::CostModel;
-use crate::event::Event;
 use crate::executor::CallId;
 use crate::group::{GroupId, Topology};
-use crate::messages::{decode_pmsg, encode_pmsg, reply_digest, request_tag, PMsg, ShareVotes};
+use crate::messages::{decode_pmsg, encode_pmsg, PMsg};
 use bytes::Bytes;
-use pws_crypto::auth::verify_bundle;
 use pws_crypto::keys::KeyTable;
 use pws_simnet::Context;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a client observes about one of its calls.
@@ -31,20 +29,6 @@ pub enum ClientEvent {
     },
 }
 
-#[derive(Debug)]
-struct Pending {
-    target: GroupId,
-    /// Dense per-target dedup sequence (see `Event::External::target_seq`).
-    /// A read-only call holds `0` until (and unless) it falls back to the
-    /// ordered path, which assigns the sequence lazily.
-    target_seq: u64,
-    done: bool,
-    /// Still on the read-only fast path. Cleared when the call falls back.
-    read_only: bool,
-    payload: Bytes,
-    retries: u64,
-}
-
 /// The calling half of a Perpetual driver, for unreplicated endpoints.
 #[derive(Debug)]
 pub struct ClientCore {
@@ -53,12 +37,10 @@ pub struct ClientCore {
     keys: KeyTable,
     cost: CostModel,
     next_call: u64,
-    /// Dense per-target sequence counters (the dedup key space; a sharded
-    /// target's shards each see a contiguous stream).
-    next_target_seq: HashMap<GroupId, u64>,
-    pending: HashMap<u64, Pending>,
-    /// Read-reply tallies for outstanding fast-path reads.
-    read_tallies: HashMap<u64, ShareVotes>,
+    /// The driver's outcall table at `n = 1`, holding the outstanding
+    /// calls only: a client takes no snapshot, so a call that resolves or
+    /// is abandoned is removed, not kept resolved.
+    calls: Calls,
 }
 
 impl ClientCore {
@@ -71,13 +53,11 @@ impl ClientCore {
         assert_eq!(topology.n(group), 1, "client groups have exactly 1 member");
         ClientCore {
             group,
+            calls: Calls::new(group, 0, topology.clone()),
             topology,
             keys: KeyTable::new(master_seed),
             cost,
             next_call: 0,
-            next_target_seq: HashMap::new(),
-            pending: HashMap::new(),
-            read_tallies: HashMap::new(),
         }
     }
 
@@ -88,31 +68,17 @@ impl ClientCore {
 
     /// Number of calls still awaiting replies.
     pub fn outstanding(&self) -> usize {
-        self.pending.values().filter(|p| !p.done).count()
+        self.calls.len()
     }
 
     /// Issues an asynchronous call to `target`; the reply arrives later via
     /// [`ClientCore::on_message`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is not registered, or is the client itself.
     pub fn call(&mut self, ctx: &mut Context<'_>, target: GroupId, payload: Bytes) -> CallId {
-        let call_no = self.next_call;
-        self.next_call += 1;
-        let seq = self.next_target_seq.entry(target).or_insert(0);
-        let target_seq = *seq;
-        *seq += 1;
-        self.pending.insert(
-            call_no,
-            Pending {
-                target,
-                target_seq,
-                done: false,
-                read_only: false,
-                payload: payload.clone(),
-                retries: 0,
-            },
-        );
-        self.transmit(ctx, call_no, target, target_seq, 0, payload);
-        ctx.metrics().incr("client.calls_issued");
-        CallId(call_no)
+        self.issue(ctx, target, false, payload)
     }
 
     /// Issues an ordered *configuration* call: the payload is wrapped with
@@ -144,102 +110,51 @@ impl ClientCore {
         target: GroupId,
         payload: Bytes,
     ) -> CallId {
+        let call = self.issue(ctx, target, true, payload);
+        ctx.metrics().incr("client.reads_issued");
+        call
+    }
+
+    fn issue(
+        &mut self,
+        ctx: &mut Context<'_>,
+        target: GroupId,
+        read_only: bool,
+        payload: Bytes,
+    ) -> CallId {
         let call_no = self.next_call;
         self.next_call += 1;
-        self.pending.insert(
-            call_no,
-            Pending {
-                target,
-                target_seq: 0,
-                done: false,
-                read_only: true,
-                payload: payload.clone(),
-                retries: 0,
-            },
-        );
-        self.transmit_read(ctx, call_no, target, payload);
+        let reachable = self.calls.issue(call_no, target, read_only, payload);
+        assert!(reachable, "client call to unreachable group {target:?}");
+        self.transmit(ctx, call_no);
         ctx.metrics().incr("client.calls_issued");
-        ctx.metrics().incr("client.reads_issued");
         CallId(call_no)
     }
 
     /// Retransmits an outstanding call, rotating the responder to the next
     /// target replica — the client half of Perpetual's fault handling for
     /// an unresponsive responder. A read-only call that failed to reach its
-    /// reply quorum in time falls back to the ordered path here instead.
-    /// No-op for completed or unknown calls.
+    /// reply quorum in time (slow replicas, a view change, or more than `f`
+    /// lying responders) falls back to the ordered path here instead; its
+    /// per-target sequence is consumed only now, so pure-read workloads
+    /// that never time out leave the dedup space untouched. No-op for
+    /// completed or unknown calls.
     pub fn retry(&mut self, ctx: &mut Context<'_>, call: CallId) {
-        let Some(p) = self.pending.get_mut(&call.0) else {
+        let Some(demoted) = self.calls.demote_or_rotate(call.0) else {
             return;
         };
-        if p.done {
-            return;
-        }
-        if p.read_only {
-            // Quorum failure (slow replicas, view change, or > f lying
-            // responders): demote to the ordered path. The per-target
-            // sequence is consumed only now — pure-read workloads that
-            // never time out leave the dedup space untouched.
-            let target = p.target;
-            let payload = p.payload.clone();
-            let seq = self.next_target_seq.entry(target).or_insert(0);
-            let target_seq = *seq;
-            *seq += 1;
-            let p = self.pending.get_mut(&call.0).expect("still pending");
-            p.read_only = false;
-            p.target_seq = target_seq;
-            self.read_tallies.remove(&call.0);
+        if demoted {
             ctx.metrics().incr("clbft.ro.fallbacks");
-            ctx.metrics().incr("client.call_retries");
-            self.transmit(ctx, call.0, target, target_seq, 0, payload);
-            return;
         }
-        p.retries += 1;
-        let (target, target_seq, retries, payload) =
-            (p.target, p.target_seq, p.retries, p.payload.clone());
         ctx.metrics().incr("client.call_retries");
-        self.transmit(ctx, call.0, target, target_seq, retries, payload);
+        self.transmit(ctx, call.0);
     }
 
-    fn transmit(
-        &mut self,
-        ctx: &mut Context<'_>,
-        call_no: u64,
-        target: GroupId,
-        target_seq: u64,
-        retries: u64,
-        payload: Bytes,
-    ) {
-        let target_n = self.topology.n(target);
-        let ev = Event::External {
-            caller: self.group,
-            caller_n: 1,
-            req_no: call_no,
-            target_seq,
-            responder: ((call_no + retries) % target_n as u64) as u32,
-            timeout_ms: 0,
-            payload,
+    fn transmit(&mut self, ctx: &mut Context<'_>, call_no: u64) {
+        let Some((target, msg)) = self.calls.request(call_no, 0) else {
+            return;
         };
-        let msg = encode_pmsg(&PMsg::OutRequest(ev));
-        for &node in self.topology.nodes(target) {
-            ctx.spend(self.cost.send_cost(msg.len(), 0));
-            ctx.send(node, msg.clone());
-        }
-    }
-
-    fn transmit_read(
-        &mut self,
-        ctx: &mut Context<'_>,
-        call_no: u64,
-        target: GroupId,
-        payload: Bytes,
-    ) {
-        let msg = encode_pmsg(&PMsg::ReadRequest {
-            caller: self.group,
-            caller_n: 1,
-            req_no: call_no,
-            payload,
-        });
+        let msg = encode_pmsg(&msg);
         for &node in self.topology.nodes(target) {
             ctx.spend(self.cost.send_cost(msg.len(), 0));
             ctx.send(node, msg.clone());
@@ -249,111 +164,46 @@ impl ClientCore {
     /// Abandons a call locally (e.g. after a client-side timeout); later
     /// replies for it are ignored.
     pub fn abandon(&mut self, call: CallId) {
-        if let Some(p) = self.pending.get_mut(&call.0) {
-            p.done = true;
-        }
+        self.calls.remove(call.0);
     }
 
     /// Processes an incoming message; returns the validated reply if this
-    /// message completed one of our calls.
+    /// message completed one of our calls: a bundle with `f_t + 1` good
+    /// shares, or the fast-path answer that brought a read's tally to
+    /// `2f_t + 1` byte-identical payloads.
     pub fn on_message(&mut self, msg: &[u8], ctx: &mut Context<'_>) -> Option<ClientEvent> {
         ctx.spend(self.cost.recv_cost(msg.len(), 0));
-        let decoded = decode_pmsg(msg);
-        if let Ok(PMsg::ReadReply {
-            req_no,
-            payload,
-            share,
-        }) = decoded
-        {
-            return self.on_read_reply(req_no, payload, share, ctx);
-        }
-        let Ok(PMsg::ReplyBundle {
-            req_no,
-            payload,
-            shares,
-        }) = decoded
-        else {
-            return None;
+        let (req_no, payload, read) = match decode_pmsg(msg).ok()? {
+            PMsg::ReadReply {
+                req_no,
+                payload,
+                share,
+            } => {
+                let (keys, mac) = (&mut self.keys, self.cost.mac);
+                let quorum = self.calls.read_vote(keys, mac, req_no, payload, share, ctx);
+                (req_no, quorum?.1, true)
+            }
+            PMsg::ReplyBundle {
+                req_no,
+                payload,
+                shares,
+            } => {
+                let keys = &mut self.keys;
+                let (_, ok) = self.calls.bundle_ok(keys, req_no, &payload, &shares)?;
+                ctx.spend(self.cost.mac.saturating_mul(shares.len() as u64));
+                if !ok {
+                    ctx.metrics().incr("client.bundles_rejected");
+                    return None;
+                }
+                (req_no, payload, false)
+            }
+            _ => return None,
         };
-        let p = self.pending.get_mut(&req_no)?;
-        if p.done {
-            return None;
-        }
-        let target_f = self.topology.f(p.target) as usize;
-        if shares.iter().any(|s| s.from.group != p.target.0) {
-            return None;
-        }
-        let digest = reply_digest(&payload);
-        let me = self.topology.principal(self.group, 0);
-        let tag = request_tag(self.group, req_no);
-        ctx.spend(self.cost.mac.saturating_mul(shares.len() as u64));
-        if !verify_bundle(&mut self.keys, &shares, &tag, &digest, me, target_f + 1) {
-            ctx.metrics().incr("client.bundles_rejected");
-            return None;
-        }
-        p.done = true;
+        self.calls.remove(req_no);
         ctx.metrics().incr("client.calls_completed");
-        Some(ClientEvent::Reply {
-            call: CallId(req_no),
-            payload,
-        })
-    }
-
-    /// Tallies one replica's fast-path read answer; completes the call once
-    /// `2f_t + 1` target replicas returned byte-identical payloads. The
-    /// share MAC authenticates the claimed replica (pairwise keys), and one
-    /// vote is counted per replica regardless of how many replies it sends.
-    fn on_read_reply(
-        &mut self,
-        req_no: u64,
-        payload: Bytes,
-        share: pws_crypto::auth::BundleShare,
-        ctx: &mut Context<'_>,
-    ) -> Option<ClientEvent> {
-        let p = self.pending.get(&req_no)?;
-        if p.done || !p.read_only {
-            return None;
+        if read {
+            ctx.metrics().incr("clbft.ro.accepted");
         }
-        let target = p.target;
-        if share.from.group != target.0 || share.from.replica >= self.topology.n(target) {
-            return None;
-        }
-        if share.reply_digest != reply_digest(&payload) {
-            return None;
-        }
-        if !self
-            .read_tallies
-            .entry(req_no)
-            .or_default()
-            .vote(share.from.replica)
-        {
-            ctx.metrics().incr("clbft.ro.duplicate_votes");
-            return None;
-        }
-        let me = self.topology.principal(self.group, 0);
-        let tag = request_tag(self.group, req_no);
-        ctx.spend(self.cost.mac);
-        if !share.verify(&mut self.keys, &tag, me) {
-            ctx.metrics().incr("clbft.ro.shares_rejected");
-            return None;
-        }
-        let digest = share.reply_digest;
-        let tally = self.read_tallies.get_mut(&req_no).expect("vote counted");
-        let agreeing = tally.add(payload, share);
-        let target_f = self.topology.f(target) as usize;
-        let target_n = self.topology.n(target) as usize;
-        let threshold = (2 * target_f + 1).min(target_n);
-        if agreeing < threshold {
-            return None;
-        }
-        let (payload, _) = self
-            .read_tallies
-            .remove(&req_no)
-            .and_then(|tally| tally.take(&digest))
-            .expect("quorum digest present");
-        self.pending.get_mut(&req_no).expect("pending read").done = true;
-        ctx.metrics().incr("client.calls_completed");
-        ctx.metrics().incr("clbft.ro.accepted");
         Some(ClientEvent::Reply {
             call: CallId(req_no),
             payload,
@@ -364,41 +214,140 @@ impl ClientCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pws_simnet::NodeId;
+    use crate::messages::{reply_digest, request_tag};
+    use pws_crypto::auth::BundleShare;
+    use pws_simnet::{Node, NodeId, Simulation};
 
+    const SERVICE: GroupId = GroupId(0);
+    const CLIENT: GroupId = GroupId(1);
+    const SEED: u64 = 1;
+
+    /// The client on node 0, facing a 4-replica service on nodes 1..5 that
+    /// no simulation below hosts: what the client sends there vanishes.
     fn topo() -> Arc<Topology> {
         let mut t = Topology::new();
-        t.register(GroupId(0), (0..4).map(NodeId::from_raw).collect());
-        t.register(GroupId(1), vec![NodeId::from_raw(4)]);
+        t.register(SERVICE, (1..5).map(NodeId::from_raw).collect());
+        t.register(CLIENT, vec![NodeId::from_raw(0)]);
         Arc::new(t)
+    }
+
+    /// A lone client node: issues `script` at start (`true` is a read) and
+    /// keeps every reply its core validates.
+    struct Lone {
+        core: ClientCore,
+        script: Vec<bool>,
+        replies: Vec<(CallId, Bytes)>,
+    }
+    impl Node for Lone {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for (k, &read) in self.script.iter().enumerate() {
+                let payload = Bytes::from(format!("request-{k}"));
+                let call = if read {
+                    self.core.call_read_only(ctx, SERVICE, payload)
+                } else {
+                    self.core.call(ctx, SERVICE, payload)
+                };
+                assert_eq!(call, CallId(k as u64));
+            }
+        }
+        fn on_message(&mut self, _from: NodeId, msg: Bytes, ctx: &mut Context<'_>) {
+            if let Some(ClientEvent::Reply { call, payload }) = self.core.on_message(&msg, ctx) {
+                self.replies.push((call, payload));
+            }
+        }
+    }
+
+    /// A one-node simulation whose client has issued `script`.
+    fn started(script: Vec<bool>) -> Simulation {
+        let mut sim = Simulation::new(SEED);
+        sim.add_node(Box::new(Lone {
+            core: ClientCore::new(CLIENT, topo(), SEED, CostModel::FREE),
+            script,
+            replies: Vec::new(),
+        }));
+        sim.run();
+        sim
+    }
+
+    fn lone(sim: &mut Simulation) -> &mut Lone {
+        sim.node_mut(NodeId::from_raw(0)).expect("the client node")
     }
 
     #[test]
     #[should_panic(expected = "exactly 1 member")]
     fn rejects_replicated_group() {
-        let t = topo();
-        let _ = ClientCore::new(GroupId(0), t, 1, CostModel::FREE);
+        let _ = ClientCore::new(SERVICE, topo(), SEED, CostModel::FREE);
     }
 
     #[test]
     fn bookkeeping() {
-        let t = topo();
-        let mut c = ClientCore::new(GroupId(1), t, 1, CostModel::FREE);
-        assert_eq!(c.group(), GroupId(1));
+        let mut c = ClientCore::new(CLIENT, topo(), SEED, CostModel::FREE);
+        assert_eq!(c.group(), CLIENT);
         assert_eq!(c.outstanding(), 0);
-        c.pending.insert(
-            0,
-            Pending {
-                target: GroupId(0),
-                target_seq: 0,
-                done: false,
-                read_only: false,
-                payload: Bytes::new(),
-                retries: 0,
-            },
-        );
-        assert_eq!(c.outstanding(), 1);
-        c.abandon(CallId(0));
-        assert_eq!(c.outstanding(), 0);
+        c.abandon(CallId(0)); // nothing issued yet: a no-op
+        let mut sim = started(vec![false, true]);
+        assert_eq!(lone(&mut sim).core.outstanding(), 2);
+        lone(&mut sim).core.abandon(CallId(0));
+        assert_eq!(lone(&mut sim).core.outstanding(), 1);
+        lone(&mut sim).core.abandon(CallId(0)); // already gone
+        lone(&mut sim).core.abandon(CallId(1));
+        assert_eq!(lone(&mut sim).core.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_resolved_or_abandoned_call_leaves_the_table() {
+        let total = 300u64;
+        let mut sim = started((0..total).map(|k| k % 3 == 1).collect());
+        let (topo, me) = (topo(), NodeId::from_raw(0));
+        let mut keys = KeyTable::new(SEED);
+        // What the service's `replica` sends to resolve `call_no`: its read
+        // reply if the call is a read, else a bundle of `f_t + 1 = 2` shares.
+        let mut answer = |replica: u32, call_no: u64| {
+            let payload = Bytes::from(format!("reply-{call_no}"));
+            let mut share = |from: u32| {
+                let (tag, digest) = (request_tag(CLIENT, call_no), reply_digest(&payload));
+                let from = topo.principal(SERVICE, from);
+                BundleShare::build(&mut keys, from, &tag, digest, &topo.principals(CLIENT))
+            };
+            let (req_no, payload) = (call_no, payload.clone());
+            encode_pmsg(&if call_no % 3 == 1 {
+                let share = share(replica);
+                PMsg::ReadReply {
+                    req_no,
+                    payload,
+                    share,
+                }
+            } else {
+                let shares = vec![share(replica), share(replica + 1)];
+                PMsg::ReplyBundle {
+                    req_no,
+                    payload,
+                    shares,
+                }
+            })
+        };
+        for call_no in 0..total {
+            match call_no % 3 {
+                0 => sim.inject(topo.node(SERVICE, 0), me, answer(0, call_no)),
+                // A read needs 2f_t + 1 = 3 matching answers.
+                1 => (0..3).for_each(|r| sim.inject(topo.node(SERVICE, r), me, answer(r, call_no))),
+                _ => lone(&mut sim).core.abandon(CallId(call_no)),
+            }
+            sim.run();
+            let live = (total - 1 - call_no) as usize;
+            let core = &lone(&mut sim).core;
+            assert_eq!((core.outstanding(), core.calls.len()), (live, live));
+        }
+        assert_eq!(lone(&mut sim).replies.len(), 200, "all but the abandoned");
+        // Late copies — of a bundle, a read answer, an abandoned call's
+        // reply — find no call and complete nothing.
+        for call_no in 0..3 {
+            sim.inject(topo.node(SERVICE, 2), me, answer(2, call_no));
+        }
+        sim.run();
+        let client = lone(&mut sim);
+        assert_eq!((client.replies.len(), client.core.calls.len()), (200, 0));
+        let (call, payload) = &client.replies[1];
+        assert_eq!((call.0, &payload[..]), (1, &b"reply-1"[..]));
     }
 }

@@ -32,7 +32,7 @@ use pws_clbft::{
     wire as bft_wire, Action, Config, ExecutedSet, Msg, ObsEvent, Replica as BftReplica, ReplicaId,
     RequestId as BftRequestId, TimerCmd,
 };
-use pws_crypto::auth::{verify_bundle, BundleShare};
+use pws_crypto::auth::BundleShare;
 use pws_crypto::keys::KeyTable;
 use pws_crypto::sha256::Digest32;
 use pws_simnet::metrics::BatchKeys;
@@ -243,6 +243,8 @@ pub struct PerpetualReplica {
     keys: KeyTable,
     // ----- voter state -----
     /// External-request candidates: (caller, req_no) → digest → driver idxs.
+    /// Hashed, not ordered, because never iterated: entries are looked up,
+    /// counted and removed by key, so their order reaches nothing.
     candidates: HashMap<(GroupId, u64), HashMap<Digest32, HashSet<u32>>>,
     /// CLBFT request digests the gate lets through.
     validated: HashSet<Digest32>,
@@ -307,7 +309,7 @@ impl PerpetualReplica {
             executor,
             next_call: 0,
             next_token: 0,
-            calls: Calls::new(cfg.group, cfg.topology.clone()),
+            calls: Calls::new(cfg.group, cfg.index, cfg.topology.clone()),
             delivered_external: ExecutedSet::new(),
             callers: BTreeMap::new(),
             resolved_tokens: BTreeSet::new(),
@@ -796,27 +798,22 @@ impl PerpetualReplica {
         payload: &Bytes,
         shares: &[BundleShare],
     ) -> bool {
-        let Some(call) = self.calls.get_mut(call_no) else {
+        let Some(call) = self.calls.get(call_no) else {
             return false; // unknown call: wait (calls are deterministic)
         };
-        let Some(live) = call.live.as_mut() else {
+        let Some(live) = call.live.as_ref() else {
             return true;
         };
         if live.validated.contains(&digest) {
             return true;
         }
-        let target = call.target;
-        if digest != reply_digest(payload) || shares.iter().any(|s| s.from.group != target.0) {
+        let keys = &mut self.keys;
+        if self.calls.bundle_ok(keys, call_no, payload, shares) != Some((digest, true)) {
             return false;
         }
-        let target_f = self.cfg.topology.f(target) as usize;
-        let me = self.cfg.topology.principal(self.cfg.group, self.cfg.index);
-        let tag = request_tag(self.cfg.group, call_no);
-        let ok = verify_bundle(&mut self.keys, shares, &tag, &digest, me, target_f + 1);
-        if ok {
-            live.validated.push(digest);
-        }
-        ok
+        let live = self.calls.live_mut(call_no).expect("live above");
+        live.validated.push(digest);
+        true
     }
 
     fn drain_gate(&mut self, ctx: &mut Context<'_>) {
@@ -825,6 +822,11 @@ impl PerpetualReplica {
             // Tested out of the list (the gate needs `&mut self`) rather
             // than cloned: a parked proposal carries its whole batch.
             let (from, msg) = self.gated.swap_remove(i);
+            // The voter ignores a proposal from a view it has left, so one
+            // parked that long is dead: dropped, not re-tested forever.
+            if matches!(&msg, Msg::PrePrepare(pp) if pp.view < self.bft.view()) {
+                continue;
+            }
             if self.gate_ok(&msg) {
                 let actions = self.bft.on_message(from, msg);
                 self.process_actions(actions, ctx);
@@ -1096,50 +1098,22 @@ impl PerpetualReplica {
         share: BundleShare,
         ctx: &mut Context<'_>,
     ) {
-        let Some(call) = self.calls.get_mut(req_no) else {
-            return;
-        };
-        let (target, read_only) = (call.target, call.read_only);
-        let Some(live) = call.live.as_mut().filter(|_| read_only) else {
-            return;
-        };
-        if share.from.group != target.0 {
-            return;
-        }
-        let idx = share.from.replica;
         // The sender must be the very replica the share claims to be from.
-        if self.cfg.topology.nodes(target).get(idx as usize) != Some(&from) {
+        // Only a live call is known to name a registered target.
+        let live = self.calls.get(req_no).filter(|c| c.live.is_some());
+        let named = live.and_then(|c| {
+            let nodes = self.cfg.topology.nodes(c.target);
+            nodes.get(share.from.replica as usize)
+        });
+        if named != Some(&from) {
             return;
         }
-        if share.reply_digest != reply_digest(&payload) {
-            return;
+        let (keys, mac) = (&mut self.keys, self.cfg.cost.mac);
+        let quorum = self.calls.read_vote(keys, mac, req_no, payload, share, ctx);
+        if let Some((digest, payload, shares)) = quorum {
+            ctx.metrics().incr("clbft.ro.accepted");
+            self.submit_result(req_no, digest, payload, shares, ctx);
         }
-        // One counted vote per target replica, bounded by n_t: a Byzantine
-        // replica spraying conflicting replies burns its single vote.
-        if !live.ro_votes.vote(idx) {
-            ctx.metrics().incr("clbft.ro.duplicate_votes");
-            return;
-        }
-        let me = self.cfg.topology.principal(self.cfg.group, self.cfg.index);
-        let tag = request_tag(self.cfg.group, req_no);
-        ctx.spend(self.cfg.cost.mac);
-        if !share.verify(&mut self.keys, &tag, me) {
-            ctx.metrics().incr("clbft.ro.shares_rejected");
-            return;
-        }
-        let digest = share.reply_digest;
-        let agreeing = live.ro_votes.add(payload, share);
-        let target_f = self.cfg.topology.f(target) as usize;
-        let target_n = self.cfg.topology.n(target) as usize;
-        let threshold = (2 * target_f + 1).min(target_n);
-        if agreeing < threshold {
-            return;
-        }
-        let (payload, shares) = std::mem::take(&mut live.ro_votes)
-            .take(&digest)
-            .expect("quorum digest present");
-        ctx.metrics().incr("clbft.ro.accepted");
-        self.submit_result(req_no, digest, payload, shares, ctx);
     }
 
     /// A reply this driver validated itself — a bundle with `f_t + 1` good
@@ -1160,7 +1134,7 @@ impl PerpetualReplica {
             payload,
             shares,
         };
-        if let Some(live) = self.calls.get_mut(call_no).and_then(|c| c.live.as_mut()) {
+        if let Some(live) = self.calls.live_mut(call_no) {
             live.validated.push(digest);
             live.submitted.push(ev.request_id());
         }
@@ -1257,20 +1231,12 @@ impl PerpetualReplica {
         shares: Vec<BundleShare>,
         ctx: &mut Context<'_>,
     ) {
-        let Some(call) = self.calls.get(req_no).filter(|c| c.live.is_some()) else {
+        let keys = &mut self.keys;
+        let Some((digest, ok)) = self.calls.bundle_ok(keys, req_no, &payload, &shares) else {
             return;
         };
-        let target = call.target;
-        let target_f = self.cfg.topology.f(target) as usize;
-        let digest = reply_digest(&payload);
-        let me = self.cfg.topology.principal(self.cfg.group, self.cfg.index);
-        let tag = request_tag(self.cfg.group, req_no);
-        // Shares must come from the target group.
-        if shares.iter().any(|s| s.from.group != target.0) {
-            return;
-        }
         ctx.spend(self.cfg.cost.mac.saturating_mul(shares.len() as u64));
-        if !verify_bundle(&mut self.keys, &shares, &tag, &digest, me, target_f + 1) {
+        if !ok {
             ctx.metrics().incr("perpetual.bundles_rejected");
             return;
         }
@@ -1678,9 +1644,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn responder_counts_one_vote_per_replica_and_drops_spoofed_shares() {
-        let (seed, group, caller, req_no) = (11, GroupId(0), GroupId(1), 7);
+    /// Four replicas of `group` on nodes 0..4, each hosting an [`Idle`]
+    /// executor, and the unreplicated `caller`'s node 4 — for the test to
+    /// add, or to speak for.
+    fn group_of_four(seed: u64, group: GroupId, caller: GroupId) -> (Simulation, Arc<Topology>) {
+        group_of_four_hosting(seed, group, caller, || Box::new(Idle))
+    }
+
+    fn group_of_four_hosting(
+        seed: u64,
+        group: GroupId,
+        caller: GroupId,
+        executor: fn() -> Box<dyn Executor>,
+    ) -> (Simulation, Arc<Topology>) {
         let mut topo = Topology::new();
         topo.register(group, (0..4).map(NodeId::from_raw).collect());
         topo.register(caller, vec![NodeId::from_raw(4)]);
@@ -1689,8 +1665,15 @@ mod tests {
         for idx in 0..4 {
             let mut cfg = ReplicaConfig::new(group, idx, topo.clone(), seed);
             cfg.cost = CostModel::FREE;
-            sim.add_node(Box::new(PerpetualReplica::new(cfg, Box::new(Idle))));
+            sim.add_node(Box::new(PerpetualReplica::new(cfg, executor())));
         }
+        (sim, topo)
+    }
+
+    #[test]
+    fn responder_counts_one_vote_per_replica_and_drops_spoofed_shares() {
+        let (seed, group, caller, req_no) = (11, GroupId(0), GroupId(1), 7);
+        let (mut sim, topo) = group_of_four(seed, group, caller);
         let inbox = sim.add_node(Box::new(Inbox::default()));
         let responder = topo.node(group, 0);
         let mut keys = KeyTable::new(seed);
@@ -1742,5 +1725,99 @@ mod tests {
         let mut from: Vec<u32> = shares.iter().map(|s| s.from.replica).collect();
         from.sort_unstable();
         assert_eq!(from, [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_read_reply_for_a_call_to_an_unregistered_group_is_ignored() {
+        /// Reads from a group nobody registered, first thing.
+        struct CallsNobody;
+        impl Executor for CallsNobody {
+            fn on_event(&mut self, ev: AppEvent, out: &mut AppOutput) {
+                if let AppEvent::Init { .. } = ev {
+                    out.call_read_only(GroupId(9), Bytes::from_static(b"read"), None);
+                }
+            }
+        }
+        let (seed, group, other) = (13, GroupId(0), GroupId(1));
+        let (mut sim, topo) = group_of_four_hosting(seed, group, other, || Box::new(CallsNobody));
+        sim.run_until(SimTime::from_millis(10));
+        // Call 0 was aborted on the spot, but its record — naming a group
+        // the topology cannot look up — stays. Anyone may claim to answer it.
+        let payload = Bytes::from_static(b"answer");
+        let share = BundleShare::build(
+            &mut KeyTable::new(seed),
+            topo.principal(other, 0),
+            &request_tag(group, 0),
+            reply_digest(&payload),
+            &topo.principals(group),
+        );
+        let reply = encode_pmsg(&PMsg::ReadReply {
+            req_no: 0,
+            payload,
+            share,
+        });
+        for idx in 0..4 {
+            sim.inject(topo.node(other, 0), topo.node(group, idx), reply.clone());
+        }
+        sim.run_until(SimTime::from_millis(20));
+        let r0 = sim
+            .node_mut::<PerpetualReplica>(topo.node(group, 0))
+            .unwrap();
+        let call = r0.calls.get(0).expect("recorded");
+        assert!(call.live.is_none() && call.target == GroupId(9));
+        assert_eq!(sim.metrics().counter("clbft.ro.accepted"), 0);
+    }
+
+    #[test]
+    fn a_parked_proposal_from_a_superseded_view_is_dropped_not_retested() {
+        let (group, caller) = (GroupId(0), GroupId(1));
+        let (mut sim, topo) = group_of_four(12, group, caller);
+        let request = |req_no: u64| Event::External {
+            caller,
+            caller_n: 1,
+            req_no,
+            target_seq: req_no,
+            responder: 0,
+            timeout_ms: 0,
+            payload: Bytes::from_static(b"op"),
+        };
+        let to_all = |sim: &mut Simulation, req_no: u64| {
+            let msg = encode_pmsg(&PMsg::OutRequest(request(req_no)));
+            for idx in 0..4 {
+                sim.inject(topo.node(caller, 0), topo.node(group, idx), msg.clone());
+            }
+        };
+        // The view-0 primary proposes a request no caller ever sent: the
+        // gate refuses it, now and for good, and replica 2 parks it.
+        let batch = pws_clbft::Batch::of(request(99).to_request());
+        let forged = Msg::PrePrepare(pws_clbft::PrePrepareMsg {
+            view: pws_clbft::View(0),
+            seq: pws_clbft::Seq(1),
+            digest: batch.digest(),
+            batch,
+        });
+        let wire = encode_pmsg(&PMsg::Bft(bft_wire::encode_msg(&forged)));
+        sim.inject(topo.node(group, 0), topo.node(group, 2), wire);
+        sim.run_until(SimTime::from_millis(10));
+        let parked = |sim: &mut Simulation| {
+            let r2 = sim
+                .node_mut::<PerpetualReplica>(topo.node(group, 2))
+                .unwrap();
+            (r2.bft_view().0, r2.gated.len(), r2.gate_ok(&forged))
+        };
+        assert_eq!(parked(&mut sim), (0, 1, false));
+        // The primary dies; a real request times the backups out into
+        // view 1. Its own drain, still in view 0, re-tested the proposal.
+        sim.net_mut().crash(topo.node(group, 0));
+        to_all(&mut sim, 0);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(parked(&mut sim), (1, 1, false));
+        // The next drain — every newly validated request runs one — finds
+        // the proposal's view gone. Still refused, so dropped, not released.
+        to_all(&mut sim, 1);
+        sim.run_until(SimTime::from_secs(3));
+        assert_eq!(parked(&mut sim), (1, 0, false));
+        let gated = sim.metrics().counter("perpetual.proposals_gated");
+        assert_eq!(gated, 1, "counted at parking, once");
     }
 }

@@ -404,17 +404,11 @@ fn timeseries_gauges_record_on_traced_runs() {
     assert!(!off.export_timeseries_json().contains("ts."));
 }
 
-/// CI smoke: gated behind `PWS_OBS_SMOKE=1`. Runs the quickstart at
-/// `Full`, re-checks the export invariants, and writes the
+/// Artifact smoke: runs the quickstart at `Full`, re-checks the export
+/// invariants, and writes the
 /// `target/figures/TRACE_smoke.json` / `OBS_smoke.json` artifacts.
 #[test]
 fn obs_smoke_artifacts() {
-    if std::env::var("PWS_OBS_SMOKE")
-        .map(|v| v != "1")
-        .unwrap_or(true)
-    {
-        return;
-    }
     let mut sys = run_quickstart(TraceLevel::Full);
     assert_eq!(
         sys.client_replies("client").len(),

@@ -591,14 +591,15 @@ fn corrupt_page_responder_cannot_poison_recovery() {
     }
 }
 
-/// Extended crash-wipe-recover smoke, run by CI with `PWS_RECOVERY_SMOKE=1`
-/// on every push: a longer load with both a churny stale-drop *and* a
-/// proactive rotation in the same deployment.
+/// Extended crash-wipe-recover smoke: a longer load with both a churny
+/// stale-drop *and* a proactive rotation in the same deployment.
+///
+/// Known finding (CHANGES.md, PR 23): under `PWS_AUDIT=strict` this run reports
+/// a `pre-prepare-equivocation` — the view-0 primary, proactively wiped at
+/// 800 ms, re-proposes seq 721 with a different batch after state transfer
+/// — so CI's strict-audit job skips this one test.
 #[test]
 fn recovery_smoke_extended() {
-    if std::env::var("PWS_RECOVERY_SMOKE").is_err() {
-        return;
-    }
     let mut b = SystemBuilder::new(9_004);
     b.checkpoint_interval(16);
     b.proactive_recovery(SimDuration::from_millis(800));
@@ -619,16 +620,13 @@ fn recovery_smoke_extended() {
     }
 }
 
-/// Extended page-transfer smoke, run by CI with `PWS_RECOVERY_SMOKE=1`: the
-/// delta-recovery and adversarial suites at a longer load — a cold-wiped
+/// Extended page-transfer smoke: the delta-recovery and adversarial suites
+/// at a longer load — a cold-wiped
 /// replica re-fetches the whole big state page by page while a corrupt
 /// responder keeps serving poisoned ranges, and incremental hashing holds
 /// across hundreds of checkpoint boundaries.
 #[test]
 fn recovery_smoke_page_transfer() {
-    if std::env::var("PWS_RECOVERY_SMOKE").is_err() {
-        return;
-    }
     let mut b = SystemBuilder::new(9_005);
     b.checkpoint_interval(16);
     b.max_batch_size(1);

@@ -4,7 +4,7 @@
 //! shard (zero cross-shard leakage, audited *at the shards*), per-shard
 //! replica state digests converge, same-seed runs are byte-identical, and
 //! cross-shard requests are rejected with the typed error. The extended
-//! smoke (CI: `PWS_SHARD_SMOKE=1`) additionally runs checkpointing,
+//! smoke additionally runs checkpointing,
 //! proactive recovery, and a churny stale-drop inside a sharded topology —
 //! every per-group subsystem multiplied across the shard fan-out.
 
@@ -281,15 +281,11 @@ fn cross_shard_requests_are_rejected_with_the_typed_error() {
     assert!(m.counter("clbft.shard.routed") >= 1, "good key was routed");
 }
 
-/// Extended sharded smoke, run by CI with `PWS_SHARD_SMOKE=1` on every
-/// push: checkpointing, a proactive-recovery rotation, and a churny
+/// Extended sharded smoke: checkpointing, a proactive-recovery rotation, and a churny
 /// stale-drop all running *inside* a sharded topology under client load —
 /// the per-group subsystems of PRs 2–4 multiplied across shards.
 #[test]
 fn sharding_smoke_extended() {
-    if std::env::var("PWS_SHARD_SMOKE").is_err() {
-        return;
-    }
     let per_client = 400u64;
     let mut b = SystemBuilder::new(9_105);
     b.checkpoint_interval(16);

@@ -615,17 +615,14 @@ fn same_seed_elastic_runs_are_byte_identical() {
     assert_ne!(a, c, "different seeds must diverge");
 }
 
-/// Extended transaction smoke, run by CI with `PWS_TXN_SMOKE=1` on every
-/// push: one run stacking everything this subsystem must survive at once —
+/// Extended transaction smoke: one run stacking everything this subsystem
+/// must survive at once —
 /// an 80-transaction cross-shard stream through flapping partitions, a
 /// coordinator-primary crash mid-stream, and a live `add_shard` that
 /// migrates keys out from under in-flight transactions. Exactly-once must
 /// hold across all of it.
 #[test]
 fn txn_smoke_extended() {
-    if std::env::var("PWS_TXN_SMOKE").is_err() {
-        return;
-    }
     let total = 80usize;
     let mut b = SystemBuilder::new(9_701);
     b.checkpoint_interval(16);
