@@ -49,15 +49,12 @@ pub struct Increment {
 impl Increment {
     /// A null-op service.
     pub fn null() -> Self {
-        Increment {
-            counter: 0,
-            processing: SimDuration::ZERO,
-        }
+        Increment::with_processing(SimDuration::ZERO)
     }
 
     /// A service that burns `processing` CPU per request (the paper used
     /// message-digest calculations of the required length).
-    pub fn with_processing(processing: SimDuration) -> Self {
+    pub(crate) fn with_processing(processing: SimDuration) -> Self {
         Increment {
             counter: 0,
             processing,
@@ -199,9 +196,9 @@ pub fn run_two_tier_batched(
 }
 
 /// [`run_two_tier_batched`] with request-lifecycle tracing at `trace`,
-/// additionally returning the per-phase latency percentiles
-/// ([`latency_fields`]) and time-series gauge summaries
-/// ([`timeseries_fields`]) of the run for the headline JSON artifacts.
+/// additionally returning the per-phase latency percentiles and
+/// time-series gauge summaries ([`timeseries_fields`]) of the run for the
+/// headline JSON artifacts.
 #[allow(clippy::too_many_arguments)]
 pub fn run_two_tier_traced(
     nc: u32,
@@ -256,7 +253,7 @@ pub fn run_two_tier_traced(
 /// pairs for [`emit_bench_json`]: p50/p95/p99 of every recorded lifecycle
 /// phase (tracing-enabled runs only), of the whole span, and of the
 /// client-observed round trip.
-pub fn latency_fields(m: &Metrics) -> Vec<(String, f64)> {
+pub(crate) fn latency_fields(m: &Metrics) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut push = |label: String, p50: f64, p95: f64, p99: f64| {
         out.push((format!("lat_{label}_p50_ms"), p50));
@@ -348,8 +345,8 @@ pub fn run_sharded(
 }
 
 /// [`run_sharded`] with request-lifecycle tracing at `trace`, additionally
-/// returning the run's latency percentiles ([`latency_fields`]) and
-/// time-series gauge summaries ([`timeseries_fields`]).
+/// returning the run's latency percentiles and time-series gauge
+/// summaries ([`timeseries_fields`]).
 pub fn run_sharded_traced(
     shards: u32,
     n_per_shard: u32,

@@ -201,7 +201,7 @@ pub(crate) struct Checkpoints {
 }
 
 impl Checkpoints {
-    pub fn new(id: ReplicaId, cfg: Config) -> Self {
+    pub(crate) fn new(id: ReplicaId, cfg: Config) -> Self {
         Checkpoints {
             id,
             cfg,
@@ -221,20 +221,20 @@ impl Checkpoints {
         }
     }
 
-    pub fn stable_seq(&self) -> Seq {
+    pub(crate) fn stable_seq(&self) -> Seq {
         self.stable_seq
     }
 
     /// Digest of the stable checkpoint (ZERO before the first one).
-    pub fn stable_digest(&self) -> Digest32 {
+    pub(crate) fn stable_digest(&self) -> Digest32 {
         stable_record(&self.records, self.stable_seq).map_or(Digest32::ZERO, |(_, t)| t.digest)
     }
 
-    pub fn recovering(&self) -> bool {
+    pub(crate) fn recovering(&self) -> bool {
         self.recovering
     }
 
-    pub fn take_page_counters(&mut self) -> PageCounters {
+    pub(crate) fn take_page_counters(&mut self) -> PageCounters {
         self.page_counters.take()
     }
 
@@ -245,7 +245,7 @@ impl Checkpoints {
 
     /// Every page this replica holds: the store plus the newest snapshot's
     /// pages, read through its manifest.
-    pub fn take_page_store(&mut self) -> Vec<Bytes> {
+    pub(crate) fn take_page_store(&mut self) -> Vec<Bytes> {
         let mut pages: Vec<Bytes> = self.page_store.drain().map(|(_, page)| page).collect();
         if let Some(t) = self.newest_taken() {
             pages.extend((0..t.manifest.len()).map(|i| page_slice(&t.snapshot, &t.manifest, i)));
@@ -254,7 +254,7 @@ impl Checkpoints {
     }
 
     /// See [`crate::Replica::seed_page_store`].
-    pub fn seed_page_store(&mut self, pages: impl IntoIterator<Item = Bytes>) {
+    pub(crate) fn seed_page_store(&mut self, pages: impl IntoIterator<Item = Bytes>) {
         for page in pages {
             self.page_store.insert(page_digest(&page), page);
         }
@@ -263,7 +263,12 @@ impl Checkpoints {
     /// Execution crossed the checkpoint boundary `seq`: keeps the chain and
     /// dedup values as of that point until [`Checkpoints::on_snapshot`]
     /// completes the record.
-    pub fn capture_boundary(&mut self, seq: Seq, exec_chain: Digest32, executed: ExecutedSet) {
+    pub(crate) fn capture_boundary(
+        &mut self,
+        seq: Seq,
+        exec_chain: Digest32,
+        executed: ExecutedSet,
+    ) {
         let cp = Checkpoint {
             exec_chain,
             executed,
@@ -277,7 +282,7 @@ impl Checkpoints {
     /// held), digests `(seq, page-tree root, dedup set, exec chain)`,
     /// completes the record, and broadcasts this replica's checkpoint vote.
     /// Returns `seq` if that vote made the checkpoint stable.
-    pub fn on_snapshot(
+    pub(crate) fn on_snapshot(
         &mut self,
         seq: Seq,
         snapshot: Bytes,
@@ -322,7 +327,7 @@ impl Checkpoints {
     /// A peer's checkpoint vote. Returns `c.seq` if it made that
     /// checkpoint stable; otherwise the vote may be the lag evidence that
     /// starts a state fetch.
-    pub fn on_checkpoint(
+    pub(crate) fn on_checkpoint(
         &mut self,
         from: ReplicaId,
         c: CheckpointMsg,
@@ -343,7 +348,7 @@ impl Checkpoints {
     /// boundaries a correct replica can legitimately have in flight at once
     /// (one per interval across the watermark window) plus slack for races
     /// around stabilization.
-    pub fn max_tracked_ckpts(&self) -> usize {
+    pub(crate) fn max_tracked_ckpts(&self) -> usize {
         (self.cfg.watermark_window / self.cfg.checkpoint_interval.max(1)) as usize + 2
     }
 
@@ -392,7 +397,7 @@ impl Checkpoints {
 
     /// The checkpoint seqs votes are currently tracked for.
     #[cfg(test)]
-    pub fn tracked_vote_seqs(&self) -> Vec<Seq> {
+    pub(crate) fn tracked_vote_seqs(&self) -> Vec<Seq> {
         self.votes.keys().copied().collect()
     }
 
@@ -478,7 +483,7 @@ impl Checkpoints {
     }
 
     /// See [`crate::Replica::begin_state_fetch`].
-    pub fn begin_state_fetch(&mut self, obs: &mut Obs) -> Vec<Action> {
+    pub(crate) fn begin_state_fetch(&mut self, obs: &mut Obs) -> Vec<Action> {
         if self.cfg.n == 1 {
             return Vec::new();
         }
@@ -513,7 +518,7 @@ impl Checkpoints {
     /// the agreement core's part of the frame: its `view`, and the
     /// committed log `suffix` above the checkpoint (asked for only once
     /// the request is going to be served).
-    pub fn on_fetch_state(
+    pub(crate) fn on_fetch_state(
         &mut self,
         from: ReplicaId,
         fs: FetchStateMsg,
@@ -571,7 +576,7 @@ impl Checkpoints {
     /// ([`Checkpoints::take_replayable`]), and the view field only counts
     /// as one report toward the `f + 1` needed to rejoin a later view
     /// ([`Checkpoints::reported_view`]).
-    pub fn on_state_response(
+    pub(crate) fn on_state_response(
         &mut self,
         from: ReplicaId,
         sr: StateResponseMsg,
@@ -720,7 +725,12 @@ impl Checkpoints {
     /// cap-respecting range; anything else is silently refused, and a
     /// per-requester budget (two full transfers per stable checkpoint)
     /// bounds the amplification a spamming peer can extract.
-    pub fn on_fetch_pages(&mut self, from: ReplicaId, fp: FetchPagesMsg, out: &mut Vec<Action>) {
+    pub(crate) fn on_fetch_pages(
+        &mut self,
+        from: ReplicaId,
+        fp: FetchPagesMsg,
+        out: &mut Vec<Action>,
+    ) {
         if !self.sent_by_peer(from, fp.replica) {
             return;
         }
@@ -766,7 +776,7 @@ impl Checkpoints {
     /// frames, out-of-range ranges, duplicates of filled slots, and
     /// digest-mismatched pages are all rejected *and counted*. When the
     /// last page fills, the checkpoint assembles and installs.
-    pub fn on_page_response(
+    pub(crate) fn on_page_response(
         &mut self,
         from: ReplicaId,
         pr: PageResponseMsg,
@@ -942,14 +952,14 @@ impl Checkpoints {
     /// abandoning a *future* view change must rest on fresh evidence
     /// gathered after this entry, never on reports from a bygone era in
     /// which the reported view was still live.
-    pub fn entered_view(&mut self) {
+    pub(crate) fn entered_view(&mut self) {
         self.reported_views.clear();
     }
 
     /// A state-transfer step moved the core's frontier to `last_exec` (or
     /// ended a fetch): clears a satisfied fetch target, then
     /// [`Checkpoints::executed_to`].
-    pub fn transfer_progressed(&mut self, last_exec: Seq) {
+    pub(crate) fn transfer_progressed(&mut self, last_exec: Seq) {
         if self.fetch_target.is_some_and(|t| t <= last_exec) {
             self.fetch_target = None;
         }
@@ -963,7 +973,7 @@ impl Checkpoints {
     /// parking a bogus vote on the next slot can keep this replica's fast
     /// path closed (a liveness-only degradation at one replica — reads
     /// fall back to the ordered path); it cannot reopen it early.
-    pub fn executed_to(&mut self, last_exec: Seq) {
+    pub(crate) fn executed_to(&mut self, last_exec: Seq) {
         // A page fetch whose target execution has already passed is moot
         // (installing it would jump state backward); drop it rather than
         // let it gate reads forever.

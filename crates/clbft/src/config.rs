@@ -78,7 +78,7 @@ impl Config {
 
     /// The effective in-flight proposal bound: the configured pipeline
     /// depth, never exceeding the watermark window.
-    pub fn effective_pipeline_depth(&self) -> u64 {
+    pub(crate) fn effective_pipeline_depth(&self) -> u64 {
         self.pipeline_depth.min(self.watermark_window)
     }
 
@@ -88,22 +88,22 @@ impl Config {
     }
 
     /// Quorum of matching `prepare`s needed (beyond the pre-prepare): `2f`.
-    pub fn prepare_quorum(&self) -> usize {
+    pub(crate) fn prepare_quorum(&self) -> usize {
         2 * self.f() as usize
     }
 
     /// Quorum of matching `commit`s needed: `2f + 1`.
-    pub fn commit_quorum(&self) -> usize {
+    pub(crate) fn commit_quorum(&self) -> usize {
         2 * self.f() as usize + 1
     }
 
     /// Quorum of matching checkpoint messages for stability: `2f + 1`.
-    pub fn checkpoint_quorum(&self) -> usize {
+    pub(crate) fn checkpoint_quorum(&self) -> usize {
         self.commit_quorum()
     }
 
     /// Quorum of view-change messages the new primary needs: `2f + 1`.
-    pub fn view_change_quorum(&self) -> usize {
+    pub(crate) fn view_change_quorum(&self) -> usize {
         self.commit_quorum()
     }
 

@@ -115,8 +115,8 @@ pub mod wire;
 pub use config::Config;
 pub use dedup::ExecutedSet;
 pub use messages::{
-    checkpoint_digest, Batch, CheckpointMsg, CommitMsg, FetchPagesMsg, FetchStateMsg, Msg,
-    NewViewMsg, PageResponseMsg, PrePrepareMsg, PrepareMsg, PreparedClaim, Request, RequestId,
+    Batch, CheckpointMsg, CommitMsg, FetchPagesMsg, FetchStateMsg, Msg, NewViewMsg,
+    PageResponseMsg, PrePrepareMsg, PrepareMsg, PreparedClaim, Request, RequestId,
     StateResponseMsg, SuffixSlot, ViewChangeMsg,
 };
 pub use pages::{PageCounters, PageManifest, DEFAULT_PAGE_SIZE, MAX_PAGES_PER_FETCH};

@@ -23,14 +23,14 @@ pub(crate) struct Slot {
 impl Slot {
     /// Whether `prepared(m, v, n)` holds: accepted pre-prepare plus a
     /// quorum of matching prepares from distinct replicas.
-    pub fn prepared(&self, cfg: &Config) -> Option<(View, Digest32)> {
+    pub(crate) fn prepared(&self, cfg: &Config) -> Option<(View, Digest32)> {
         let (v, d, _) = self.pre_prepare.as_ref()?;
         let count = self.prepares.get(&(*v, *d)).map_or(0, HashSet::len);
         (count >= cfg.prepare_quorum()).then_some((*v, *d))
     }
 
     /// Whether `committed-local` holds: prepared plus a commit quorum.
-    pub fn committed(&self, cfg: &Config) -> bool {
+    pub(crate) fn committed(&self, cfg: &Config) -> bool {
         match self.prepared(cfg) {
             Some((v, d)) => {
                 self.commits.get(&(v, d)).map_or(0, HashSet::len) >= cfg.commit_quorum()
@@ -47,23 +47,27 @@ pub(crate) struct Log {
 }
 
 impl Log {
-    pub fn slot_mut(&mut self, seq: Seq) -> &mut Slot {
+    pub(crate) fn slot_mut(&mut self, seq: Seq) -> &mut Slot {
         self.slots.entry(seq).or_default()
     }
 
-    pub fn slot(&self, seq: Seq) -> Option<&Slot> {
+    pub(crate) fn slot(&self, seq: Seq) -> Option<&Slot> {
         self.slots.get(&seq)
     }
 
     /// Drops every slot at or below `stable` (garbage collection after a
     /// stable checkpoint).
-    pub fn gc_below(&mut self, stable: Seq) {
+    pub(crate) fn gc_below(&mut self, stable: Seq) {
         self.slots = self.slots.split_off(&stable.next());
     }
 
     /// Sequence numbers (above `from`) that this replica has prepared, for
     /// view-change claims. Each claim carries its whole batch.
-    pub fn prepared_above(&self, from: Seq, cfg: &Config) -> Vec<(Seq, View, Digest32, Batch)> {
+    pub(crate) fn prepared_above(
+        &self,
+        from: Seq,
+        cfg: &Config,
+    ) -> Vec<(Seq, View, Digest32, Batch)> {
         self.slots
             .range(from.next()..)
             .filter_map(|(seq, slot)| {
@@ -77,7 +81,7 @@ impl Log {
     /// Executed slots in `(from, to]` with their batches, in order — the
     /// committed log suffix shipped during state transfer so a fetcher
     /// lands at the responder's execution frontier.
-    pub fn executed_suffix(&self, from: Seq, to: Seq) -> Vec<(Seq, Batch)> {
+    pub(crate) fn executed_suffix(&self, from: Seq, to: Seq) -> Vec<(Seq, Batch)> {
         if to <= from {
             return Vec::new();
         }
@@ -94,7 +98,7 @@ impl Log {
     }
 
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 }

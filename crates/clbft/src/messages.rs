@@ -134,17 +134,12 @@ impl Batch {
         }
     }
 
-    /// Whether this is a null (gap-filling) batch.
-    pub fn is_null(&self) -> bool {
-        self.requests.is_empty()
-    }
-
     /// Number of requests in the batch.
     pub fn len(&self) -> usize {
         self.requests.len()
     }
 
-    /// Whether the batch holds no requests (same as [`Batch::is_null`]).
+    /// Whether the batch holds no requests: a null (gap-filling) batch.
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
     }
@@ -164,7 +159,7 @@ impl Batch {
 
 impl std::fmt::Debug for Batch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_null() {
+        if self.is_empty() {
             write!(f, "Batch(null)")
         } else {
             write!(f, "Batch[{}]{:?}", self.len(), self.requests)
@@ -217,7 +212,7 @@ pub struct CommitMsg {
 pub struct CheckpointMsg {
     /// Last executed sequence number covered by this checkpoint.
     pub seq: Seq,
-    /// The [`checkpoint_digest`] over `(seq, snapshot, executed, chain)`.
+    /// The checkpoint digest over `(seq, snapshot, executed, chain)`.
     pub state_digest: Digest32,
     /// Sender.
     pub replica: ReplicaId,
@@ -234,7 +229,7 @@ pub struct CheckpointMsg {
 /// (the state-transfer trust anchor). Because the root certifies the whole
 /// manifest, `f + 1` votes on this digest let a fetcher trust *every
 /// per-page digest* of a received manifest at once.
-pub fn checkpoint_digest(
+pub(crate) fn checkpoint_digest(
     seq: Seq,
     pages: &PageManifest,
     executed: &ExecutedSet,
@@ -321,9 +316,9 @@ pub struct FetchPagesMsg {
 
 /// A responder's page range, answering a [`FetchPagesMsg`]. Pages are in
 /// index order starting at `first`; the fetcher verifies every page
-/// against its `f + 1`-vouched manifest ([`PageManifest::verify_page`])
-/// and rejects — counting — anything unsolicited, out of range, over the
-/// cap, duplicated, or digest-mismatched.
+/// against its `f + 1`-vouched manifest and rejects — counting — anything
+/// unsolicited, out of range, over the cap, duplicated, or
+/// digest-mismatched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageResponseMsg {
     /// The checkpoint boundary the pages belong to.
@@ -462,7 +457,7 @@ mod tests {
     #[test]
     fn null_batches() {
         let b = Batch::null();
-        assert!(b.is_null());
+        assert!(b.is_empty());
         assert!(b.is_empty());
         assert_eq!(b.digest(), Batch::new(vec![]).digest());
         assert_ne!(

@@ -2,8 +2,8 @@
 //!
 //! The application snapshot is chunked into fixed-size pages and summarized
 //! by a [`PageManifest`]: one digest per page plus a binary Merkle root over
-//! the digest list. Checkpoint certificates cover the root (via
-//! [`crate::checkpoint_digest`]), so `f + 1` matching checkpoint votes vouch
+//! the digest list. Checkpoint certificates cover the root (it is part of
+//! the checkpoint digest), so `f + 1` matching checkpoint votes vouch
 //! for *every page digest at once* — a fetching replica can then pull pages
 //! one range at a time ([`crate::FetchPagesMsg`]/[`crate::PageResponseMsg`])
 //! and verify each page against the certified manifest before installing
@@ -24,22 +24,22 @@ pub const DEFAULT_PAGE_SIZE: u32 = 1024;
 /// Hard cap on the page count of one manifest on the wire: bounds the
 /// allocation a hostile count prefix can drive (64 GiB of state at the
 /// default page size — far above any simulated service).
-pub const MAX_WIRE_PAGES: usize = 1 << 20;
+pub(crate) const MAX_WIRE_PAGES: usize = 1 << 20;
 
 /// Protocol cap on the pages one [`crate::FetchPagesMsg`] may request and
 /// one [`crate::PageResponseMsg`] may carry. Deliberately *lower* than the
-/// wire decode cap ([`MAX_WIRE_PAGE_RESPONSE`]): an over-cap response still
+/// wire decode cap (`MAX_WIRE_PAGE_RESPONSE`): an over-cap response still
 /// decodes, reaches the fetch state machine, and is rejected and counted
 /// there — misbehavior is observable, not silently dropped at the codec.
 pub const MAX_PAGES_PER_FETCH: u32 = 64;
 
 /// Hard decode cap on the page count of one page response frame.
-pub const MAX_WIRE_PAGE_RESPONSE: usize = 4096;
+pub(crate) const MAX_WIRE_PAGE_RESPONSE: usize = 4096;
 
 /// The content digest of one page: domain-separated and length-covered, so
 /// a page can never alias a non-page hash input or a differently-sized
 /// page.
-pub fn page_digest(bytes: &[u8]) -> Digest32 {
+pub(crate) fn page_digest(bytes: &[u8]) -> Digest32 {
     let mut h = Sha256::new();
     h.update(b"pws-page");
     h.update_u64(bytes.len() as u64);
@@ -163,7 +163,7 @@ impl PageManifest {
     }
 
     /// Total snapshot length in bytes.
-    pub fn total_len(&self) -> u64 {
+    pub(crate) fn total_len(&self) -> u64 {
         self.total_len
     }
 
@@ -184,7 +184,7 @@ impl PageManifest {
 
     /// The byte length page `i` must have (every page is `page_size` bytes
     /// except a shorter final remainder).
-    pub fn page_len(&self, i: usize) -> usize {
+    pub(crate) fn page_len(&self, i: usize) -> usize {
         let ps = u64::from(self.page_size);
         let start = i as u64 * ps;
         (self.total_len.saturating_sub(start)).min(ps) as usize
@@ -194,7 +194,7 @@ impl PageManifest {
     /// index must be in range, the length exact, and the content digest a
     /// match. With the root `f + 1`-vouched this is the page-install trust
     /// check — nothing failing it may ever be installed.
-    pub fn verify_page(&self, i: usize, bytes: &[u8]) -> bool {
+    pub(crate) fn verify_page(&self, i: usize, bytes: &[u8]) -> bool {
         match self.digests.get(i) {
             Some(want) => bytes.len() == self.page_len(i) && page_digest(bytes) == *want,
             None => false,

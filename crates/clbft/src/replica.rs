@@ -13,7 +13,7 @@ use crate::{Config, ReplicaId, Seq, View};
 use bytes::Bytes;
 use pws_crypto::sha256::{Digest32, Sha256};
 use pws_obs::{AuditEvent, FlightKind, Phase, ProtoFamily};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// An observability event collected by the replica for the harness to
 /// drain ([`Replica::take_obs_events`]) and stamp with real (sim) time.
@@ -78,7 +78,7 @@ pub(crate) struct Obs {
 }
 
 impl Obs {
-    pub fn new(cfg: &Config) -> Self {
+    pub(crate) fn new(cfg: &Config) -> Self {
         Obs {
             events: Vec::new(),
             phases_on: cfg.obs_phases,
@@ -95,20 +95,20 @@ impl Obs {
 
     /// Records a request-lifecycle phase (no-op unless
     /// [`Config::obs_phases`]).
-    pub fn phase(&mut self, id: RequestId, phase: Phase) {
+    pub(crate) fn phase(&mut self, id: RequestId, phase: Phase) {
         if self.phases_on {
             self.push(ObsEvent::Phase { id, phase });
         }
     }
 
     /// Records a flight-recorder event (always collected).
-    pub fn flight(&mut self, kind: FlightKind, a: u64, b: u64) {
+    pub(crate) fn flight(&mut self, kind: FlightKind, a: u64, b: u64) {
         self.push(ObsEvent::Flight { kind, a, b });
     }
 
     /// Records a protocol-plane span phase (collected only with
     /// [`Config::obs_phases`], like request phases).
-    pub fn proto(&mut self, family: ProtoFamily, id: u64, phase: usize, count: u64) {
+    pub(crate) fn proto(&mut self, family: ProtoFamily, id: u64, phase: usize, count: u64) {
         if self.phases_on {
             self.push(ObsEvent::Proto {
                 family,
@@ -120,7 +120,7 @@ impl Obs {
     }
 
     /// Records an audit observation (collected only with [`Config::audit`]).
-    pub fn audit(&mut self, ev: AuditEvent) {
+    pub(crate) fn audit(&mut self, ev: AuditEvent) {
         if self.audit_on {
             self.push(ObsEvent::Audit(ev));
         }
@@ -232,7 +232,6 @@ pub struct Replica {
     /// View-change votes per target view. Ordered by voter so the
     /// `NewView` built from them has the same bytes in every run.
     view_changes: BTreeMap<View, BTreeMap<ReplicaId, ViewChangeMsg>>,
-    new_view_sent: HashSet<u64>,
     /// Pre-prepares/prepares for views we have not entered yet (e.g. a new
     /// primary's first proposals racing ahead of its NewView on the wire).
     /// Drained on view entry; bounded to keep Byzantine peers from
@@ -274,7 +273,6 @@ impl Replica {
             batch_timer_armed: false,
             draining: false,
             view_changes: BTreeMap::new(),
-            new_view_sent: HashSet::new(),
             stashed: Vec::new(),
             obs: Obs::new(&cfg),
             cfg,
@@ -329,16 +327,10 @@ impl Replica {
         self.ckpt.stable_seq()
     }
 
-    /// Digest of the last stable checkpoint
-    /// ([`checkpoint_digest`](crate::checkpoint_digest); ZERO before the
-    /// first checkpoint stabilizes).
+    /// Digest of the last stable checkpoint (ZERO before the first
+    /// checkpoint stabilizes).
     pub fn stable_digest(&self) -> Digest32 {
         self.ckpt.stable_digest()
-    }
-
-    /// Whether a view change is in progress.
-    pub fn in_view_change(&self) -> bool {
-        self.in_view_change
     }
 
     /// Number of known-but-unexecuted requests (drives the liveness timer).
@@ -1079,10 +1071,11 @@ impl Replica {
     }
 
     fn try_new_view(&mut self, target: View, out: &mut Vec<Action>) {
-        if target.primary(self.cfg.n) != self.id
-            || target <= self.view
-            || self.new_view_sent.contains(&target.0)
-        {
+        // `target <= self.view` also rules out sending a second NewView for
+        // one view: `self.view` is written only by `enter_view`, every
+        // caller of which passes a view no lower than the current one, and
+        // sending a NewView enters `target` at once.
+        if target.primary(self.cfg.n) != self.id || target <= self.view {
             return;
         }
         let Some(votes) = self.view_changes.get(&target) else {
@@ -1136,7 +1129,6 @@ impl Replica {
             pre_prepares: pre_prepares.clone(),
             replica: self.id,
         };
-        self.new_view_sent.insert(target.0);
         out.push(Action::Broadcast(Msg::NewView(nv)));
         self.enter_view(target, out);
         self.next_seq = max_s;
@@ -1257,6 +1249,7 @@ mod tests {
         StateResponseMsg, SuffixSlot,
     };
     use crate::pages::{PageManifest, MAX_PAGES_PER_FETCH};
+    use std::collections::HashSet;
 
     fn req(c: u64) -> Request {
         Request::new(RequestId::new(1, c), Bytes::from(format!("op-{c}")))
@@ -1549,7 +1542,7 @@ mod tests {
             let total = executed[i].len() + more[i].len();
             assert_eq!(total, 1, "replica {i} executed after view change");
             assert_eq!(rs[i].view(), View(1));
-            assert!(!rs[i].in_view_change());
+            assert!(!rs[i].in_view_change);
         }
         assert_eq!(rs[1].primary(), ReplicaId(1));
     }
@@ -1591,6 +1584,31 @@ mod tests {
         for run in 1..8 {
             assert_eq!(new_views_after_primary_crash(), first, "run {run}");
         }
+    }
+
+    #[test]
+    fn a_primary_announces_each_view_once() {
+        // The new primary keeps no record of the views it announced:
+        // sending a NewView enters that view, and a later vote for it (a
+        // replay, a straggler) no longer names a view above its own.
+        let mut rs = group(4);
+        let vote = |i: u32| ViewChangeMsg {
+            new_view: View(1),
+            stable_seq: Seq::ZERO,
+            stable_digest: Digest32::ZERO,
+            prepared: vec![],
+            replica: ReplicaId(i),
+        };
+        let mut announced = 0;
+        for i in [0, 2, 3, 0, 2, 3] {
+            let actions = rs[1].on_message(ReplicaId(i), Msg::ViewChange(vote(i)));
+            announced += actions
+                .iter()
+                .filter(|a| matches!(a, Action::Broadcast(Msg::NewView(_))))
+                .count();
+        }
+        assert_eq!(announced, 1);
+        assert_eq!(rs[1].view(), View(1));
     }
 
     #[test]
@@ -1752,7 +1770,7 @@ mod tests {
         let mut executed = vec![Vec::new(); 4];
         let _ = rs[3].on_request(req(1)); // outstanding work
         let _ = rs[3].on_view_timer();
-        assert!(rs[3].in_view_change());
+        assert!(rs[3].in_view_change);
         // The (future) view-1 primary's proposal arrives first...
         let b1 = Batch::of(req(1));
         let pp = PrePrepareMsg {
@@ -2157,18 +2175,18 @@ mod tests {
         let _ = target.on_request(req(1));
         let _ = target.on_view_timer();
         let _ = target.on_view_timer();
-        assert!(target.in_view_change(), "wedged in a lonely view change");
+        assert!(target.in_view_change, "wedged in a lonely view change");
         let _ = target.on_message(
             ReplicaId(1),
             Msg::StateResponse(state_response(1, 0, vec![])),
         );
-        assert!(target.in_view_change(), "one report is not evidence");
+        assert!(target.in_view_change, "one report is not evidence");
         let _ = target.on_message(
             ReplicaId(2),
             Msg::StateResponse(state_response(2, 0, vec![])),
         );
         assert!(
-            !target.in_view_change(),
+            !target.in_view_change,
             "f + 1 current-view reports abandon the stale view change"
         );
         assert_eq!(target.view(), View(0), "still in the group's view");
@@ -2600,7 +2618,7 @@ mod tests {
                 .any(|a| matches!(a, Action::Broadcast(Msg::ViewChange(_)))),
             "f+1 = 2 votes should trigger a join"
         );
-        assert!(rs[3].in_view_change());
+        assert!(rs[3].in_view_change);
     }
 
     // ---- Read-only fast path gate ----
@@ -2610,7 +2628,7 @@ mod tests {
         let mut rs = group(4);
         assert!(rs[1].can_serve_reads());
         let _ = rs[1].on_view_timer();
-        assert!(rs[1].in_view_change());
+        assert!(rs[1].in_view_change);
         assert!(!rs[1].can_serve_reads());
     }
 

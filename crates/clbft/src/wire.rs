@@ -249,14 +249,14 @@ const TAG_PAGE_RESPONSE: u8 = 11;
 /// fetcher would accept. With per-origin compaction the entry count is
 /// O(origins + reorder residue), not O(executed requests), so honest sets
 /// sit far below this cap for the lifetime of a deployment.
-pub const MAX_WIRE_EXECUTED: usize = 1 << 20;
+pub(crate) const MAX_WIRE_EXECUTED: usize = 1 << 20;
 
 /// Hard cap on the log-suffix slot count of one state response: the suffix
 /// spans at most a watermark window of slots in any honest response.
 /// Public so responders can truncate an oversized suffix (safe: the
 /// fetcher just lands earlier and re-fetches) instead of emitting an
 /// undecodable frame.
-pub const MAX_WIRE_SUFFIX: usize = 65_536;
+pub(crate) const MAX_WIRE_SUFFIX: usize = 65_536;
 
 /// Encodes a CLBFT message.
 pub fn encode_msg(msg: &Msg) -> Bytes {

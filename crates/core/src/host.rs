@@ -94,7 +94,7 @@ impl ServiceCtx<'_> {
     /// own (never batched), and the receiving host strips the marker
     /// before the service sees the request. The transport for transaction
     /// and resharding records (see [`crate::txn`]).
-    pub fn send_config(&mut self, request: MessageContext) -> CallToken {
+    pub(crate) fn send_config(&mut self, request: MessageContext) -> CallToken {
         self.send_impl(request, true)
     }
 
@@ -105,7 +105,7 @@ impl ServiceCtx<'_> {
             request.addressing_mut().reply_to = Some(self.st.own_uri.clone());
         }
         // The routing key is part of the message body; resolve ownership
-        // before the out-pipe mutates addressing.
+        // before the engine mutates addressing.
         let routed = {
             let to = request.addressing().to.clone().unwrap_or_default();
             self.st
@@ -113,7 +113,7 @@ impl ServiceCtx<'_> {
                 .route(&to, crate::router::routing_key(&request))
                 .map(|(_, gid)| (gid, self.st.uris.shard_count(&to).is_some()))
         };
-        if self.st.engine.run_out_pipe(&mut request).is_err() {
+        if self.st.engine.prepare_out(&mut request).is_err() {
             self.st
                 .failed_sends
                 .push((token, "request could not be marshalled".to_owned()));
@@ -184,7 +184,7 @@ impl ServiceCtx<'_> {
         if reply.addressing().to.is_none() {
             reply.addressing_mut().to = request.addressing().reply_to.clone();
         }
-        if self.st.engine.run_out_pipe(&mut reply).is_err() {
+        if self.st.engine.prepare_out(&mut reply).is_err() {
             return;
         }
         let Ok(bytes) = reply.to_bytes() else { return };
@@ -210,11 +210,6 @@ impl ServiceCtx<'_> {
     /// direct `java.util.Random` construction (§4.2).
     pub fn random_u64(&mut self) -> u64 {
         self.st.rng.next_u64()
-    }
-
-    /// This service's own URI (`urn:svc:<name>`).
-    pub fn own_uri(&self) -> &str {
-        &self.st.own_uri
     }
 
     /// Increments a deployment metric counter. Deterministic infrastructure

@@ -112,7 +112,7 @@ pub use pws_simnet::{
     AuditEvent, AuditMode, FlightKind, Phase, ProtoFamily, ProtoKey, TraceLevel, Violation,
     AUDIT_VIOLATIONS_KEY,
 };
-pub use router::{routing_key, RendezvousRouter, RouteError, Router, RouterEpoch};
-pub use runtime::{ScriptedClient, System, SystemBuilder, UriMap};
+pub use router::{RendezvousRouter, RouteError, Router, RouterEpoch};
+pub use runtime::{System, SystemBuilder, UriMap};
 pub use txn::{TxnService, TxnShim, TXN_ABORTED_FAULT, WRONG_SHARD_FAULT};
 pub use wscost::WsCostModel;

@@ -109,22 +109,22 @@ impl Router for RendezvousRouter {
 /// Extracts a request's routing key: the SOAP body text, the workspace's
 /// entity-id idiom. An empty body routes on the empty key — still
 /// deterministic, every such request landing on one shard.
-pub fn routing_key(request: &MessageContext) -> &str {
+pub(crate) fn routing_key(request: &MessageContext) -> &str {
     request.body().text.as_str()
 }
 
 /// Splits a routing key into the entity keys it names (`|`-separated).
 /// Single-key requests — the overwhelmingly common case — yield themselves.
-pub fn split_keys(key: &str) -> impl Iterator<Item = &str> {
+pub(crate) fn split_keys(key: &str) -> impl Iterator<Item = &str> {
     key.split('|')
 }
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// An epoch-versioned view over a [`Router`]: the pure key→shard function
-/// paired with the deployment's current **active shard count**, which live
-/// resharding advances at the flip point.
+/// An epoch-versioned view over the [`RendezvousRouter`]: the pure
+/// key→shard function paired with the deployment's current **active shard
+/// count**, which live resharding advances at the flip point.
 ///
 /// The epoch is advisory routing for *clients and callers*: shards
 /// themselves never read it for agreed-execution decisions (they track the
@@ -136,22 +136,15 @@ use std::sync::Arc;
 /// the keys whose rendezvous winner is the new shard.
 #[derive(Clone, Debug)]
 pub struct RouterEpoch {
-    router: Arc<dyn Router>,
     active: Arc<AtomicU32>,
 }
 
 impl RouterEpoch {
-    /// Wraps `router` with an initial active shard count.
-    pub fn new(router: Arc<dyn Router>, active_shards: u32) -> Self {
+    /// An epoch starting at `active_shards` active shards.
+    pub fn new(active_shards: u32) -> Self {
         RouterEpoch {
-            router,
             active: Arc::new(AtomicU32::new(active_shards.max(1))),
         }
-    }
-
-    /// The underlying pure router.
-    pub fn router(&self) -> Arc<dyn Router> {
-        Arc::clone(&self.router)
     }
 
     /// The current active shard count (the epoch).
@@ -167,13 +160,7 @@ impl RouterEpoch {
 
     /// Routes `key` at the current epoch.
     pub fn shard(&self, key: &str) -> u32 {
-        self.router.shard(key, self.epoch())
-    }
-}
-
-impl std::fmt::Debug for dyn Router {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Router")
+        RendezvousRouter.shard(key, self.epoch())
     }
 }
 
@@ -296,11 +283,11 @@ mod tests {
 
     #[test]
     fn router_epoch_only_grows_and_routes_at_current_count() {
-        let e = RouterEpoch::new(Arc::new(RendezvousRouter::new()), 2);
+        let e = RouterEpoch::new(2);
         assert_eq!(e.epoch(), 2);
         for i in 0..64 {
             let key = format!("k{i}");
-            assert_eq!(e.shard(&key), e.router().shard(&key, 2));
+            assert_eq!(e.shard(&key), RendezvousRouter.shard(&key, 2));
         }
         e.advance(3);
         assert_eq!(e.epoch(), 3);
@@ -308,9 +295,9 @@ mod tests {
         assert_eq!(e.epoch(), 3);
         for i in 0..64 {
             let key = format!("k{i}");
-            assert_eq!(e.shard(&key), e.router().shard(&key, 3));
+            assert_eq!(e.shard(&key), RendezvousRouter.shard(&key, 3));
         }
-        let degenerate = RouterEpoch::new(Arc::new(RendezvousRouter::new()), 0);
+        let degenerate = RouterEpoch::new(0);
         assert_eq!(degenerate.epoch(), 1, "zero clamps to one shard");
     }
 

@@ -70,7 +70,7 @@ impl UriMap {
     /// suffix are dormant spares awaiting live resharding. When `txn` is
     /// set, cross-shard keys route to the first key's owner (the 2PC
     /// coordinator) instead of raising [`RouteError::CrossShard`].
-    pub fn insert_sharded_elastic(
+    pub(crate) fn insert_sharded_elastic(
         &mut self,
         name: &str,
         shards: Vec<GroupId>,
@@ -93,28 +93,19 @@ impl UriMap {
     }
 
     /// Number of *provisioned* shards behind a sharded logical URI —
-    /// dormant spares included (`None` if `uri` is not sharded). See
-    /// [`UriMap::active_shards`] for the routable count.
-    pub fn shard_count(&self, uri: &str) -> Option<u32> {
+    /// dormant spares included (`None` if `uri` is not sharded).
+    pub(crate) fn shard_count(&self, uri: &str) -> Option<u32> {
         self.sharded.get(uri).map(|e| e.shards.len() as u32)
-    }
-
-    /// Number of *active* (routable) shards behind a sharded logical URI
-    /// at the current epoch.
-    pub fn active_shards(&self, uri: &str) -> Option<u32> {
-        self.sharded
-            .get(uri)
-            .map(|e| e.epoch.epoch().min(e.shards.len() as u32))
     }
 
     /// The epoch handle of a sharded logical URI (shared with every clone
     /// of this map), for observing or advancing the active shard count.
-    pub fn epoch_handle(&self, uri: &str) -> Option<RouterEpoch> {
+    pub(crate) fn epoch_handle(&self, uri: &str) -> Option<RouterEpoch> {
         self.sharded.get(uri).map(|e| e.epoch.clone())
     }
 
     /// The shard groups behind a sharded logical URI, in shard order.
-    pub fn shard_groups(&self, uri: &str) -> Option<&[GroupId]> {
+    pub(crate) fn shard_groups(&self, uri: &str) -> Option<&[GroupId]> {
         self.sharded.get(uri).map(|e| e.shards.as_slice())
     }
 
@@ -140,11 +131,10 @@ impl UriMap {
             });
         };
         let shards = entry.epoch.epoch().min(entry.shards.len() as u32);
-        let router = entry.epoch.router();
         let mut owner: Option<u32> = None;
         let mut spread: Vec<u32> = Vec::new();
         for k in split_keys(key) {
-            let s = router.shard(k, shards);
+            let s = RendezvousRouter.shard(k, shards);
             if owner.is_none_or(|o| o == s) {
                 owner = Some(s);
             } else if !spread.contains(&s) {
@@ -170,7 +160,7 @@ impl UriMap {
 }
 
 /// The canonical URI of a service.
-pub fn service_uri(name: &str) -> String {
+pub(crate) fn service_uri(name: &str) -> String {
     format!("urn:svc:{name}")
 }
 
@@ -179,7 +169,7 @@ pub fn service_uri(name: &str) -> String {
 /// SOAP-over-SSL stack (JSSE record processing, servlet dispatch, kernel
 /// crossings) that a raw ping does not see. This latency is pipelined away
 /// by asynchronous messaging, which is what gives Fig. 9 its headroom.
-pub fn default_ws_net() -> NetConfig {
+pub(crate) fn default_ws_net() -> NetConfig {
     NetConfig::new(LinkConfig {
         base: SimDuration::from_micros(250),
         per_byte_us: 0.008,
@@ -206,8 +196,9 @@ struct ServiceSpec {
     /// Dormant spare shards provisioned for live resharding
     /// ([`SystemBuilder::add_shard`]); transactional services only.
     spares: u32,
-    /// The key router for sharded services (`None` for ordinary ones).
-    router: Option<Arc<dyn Router>>,
+    /// Whether requests are routed across shards by the
+    /// [`RendezvousRouter`] (false for ordinary services).
+    sharded: bool,
     factory: Factory,
     /// Faults keyed by `(shard, replica)`; shard 0 for ordinary services.
     faults: HashMap<(u32, u32), FaultMode>,
@@ -407,7 +398,7 @@ impl SystemBuilder {
             n,
             shards: 1,
             spares: 0,
-            router: None,
+            sharded: false,
             factory: Factory::Service(Box::new(move |i| factory(i))),
             faults: HashMap::new(),
         });
@@ -424,7 +415,7 @@ impl SystemBuilder {
             n,
             shards: 1,
             spares: 0,
-            router: None,
+            sharded: false,
             factory: Factory::Passive(Box::new(move |i| factory(i))),
             faults: HashMap::new(),
         });
@@ -455,7 +446,7 @@ impl SystemBuilder {
             n,
             shards,
             spares: 0,
-            router: Some(Arc::new(RendezvousRouter::new())),
+            sharded: true,
             factory: Factory::ShardedService(Box::new(move |s, i| factory(s, i))),
             faults: HashMap::new(),
         });
@@ -481,7 +472,7 @@ impl SystemBuilder {
             n,
             shards,
             spares: 0,
-            router: Some(Arc::new(RendezvousRouter::new())),
+            sharded: true,
             factory: Factory::ShardedPassive(Box::new(move |s, i| factory(s, i))),
             faults: HashMap::new(),
         });
@@ -505,7 +496,7 @@ impl SystemBuilder {
             n,
             shards,
             spares: 0,
-            router: Some(Arc::new(RendezvousRouter::new())),
+            sharded: true,
             factory: Factory::Txn(Box::new(move |s, i| factory(s, i))),
             faults: HashMap::new(),
         });
@@ -669,7 +660,7 @@ impl SystemBuilder {
                     // fault bound f (stability requires f+1 matching votes).
                     aud.register_group(gid.0, u64::from((spec.n - 1) / 3));
                 }
-                if spec.router.is_some() {
+                if spec.sharded {
                     groups_by_name.insert(format!("{}#{k}", spec.name), gid);
                 } else {
                     uris.insert(&spec.name, gid);
@@ -677,8 +668,8 @@ impl SystemBuilder {
                 }
                 shard_groups.push(gid);
             }
-            if let Some(router) = &spec.router {
-                let epoch = RouterEpoch::new(router.clone(), spec.shards);
+            if spec.sharded {
+                let epoch = RouterEpoch::new(spec.shards);
                 let txn = matches!(spec.factory, Factory::Txn(_));
                 uris.insert_sharded_elastic(&spec.name, shard_groups, epoch, txn);
             }
@@ -715,7 +706,7 @@ impl SystemBuilder {
         let mut client_nodes = HashMap::new();
         for mut spec in self.services {
             for shard in 0..spec.shards + spec.spares {
-                let (hosted_name, gid) = if spec.router.is_some() {
+                let (hosted_name, gid) = if spec.sharded {
                     let alias = format!("{}#{shard}", spec.name);
                     let gid = groups_by_name[&alias];
                     (alias, gid)
@@ -744,7 +735,6 @@ impl SystemBuilder {
                             f(shard, idx),
                             spec.name.as_str(),
                             shard,
-                            spec.router.clone().expect("txn services are sharded"),
                             spec.shards,
                             shard >= spec.shards,
                         )),
@@ -1252,7 +1242,7 @@ impl ReshardController {
         mc.body_mut().name = op.to_owned();
         mc.body_mut().text = to_hex(record);
         mc.addressing_mut().reply_to = Some("urn:reshard".to_owned());
-        if self.engine.run_out_pipe(&mut mc).is_err() {
+        if self.engine.prepare_out(&mut mc).is_err() {
             return;
         }
         let Ok(bytes) = mc.to_bytes() else { return };
@@ -1377,7 +1367,7 @@ impl Node for ReshardController {
 /// A simnet node that drives a replicated service with a fixed script of
 /// requests, keeping a bounded window outstanding. The workhorse behind the
 /// micro-benchmarks (Figs. 7–9).
-pub struct ScriptedClient {
+pub(crate) struct ScriptedClient {
     core: ClientCore,
     uris: Arc<UriMap>,
     /// `Some` when the target is not a routed service (e.g. another
@@ -1470,7 +1460,7 @@ impl ScriptedClient {
                     }
                 },
             };
-            if self.engine.run_out_pipe(&mut mc).is_err() {
+            if self.engine.prepare_out(&mut mc).is_err() {
                 continue;
             }
             let key = mc.body().text.clone();
@@ -1503,7 +1493,7 @@ impl ScriptedClient {
         let Ok((_, target)) = self.uris.route(&self.target_uri, routing_key(&mc)) else {
             return false;
         };
-        if self.engine.run_out_pipe(&mut mc).is_err() {
+        if self.engine.prepare_out(&mut mc).is_err() {
             return false;
         }
         let Ok(bytes) = mc.to_bytes() else {

@@ -31,23 +31,22 @@
 
 use crate::api::{Poll, Service, WsEvent};
 use crate::host::ServiceCtx;
-use crate::router::{routing_key, split_keys, Router};
+use crate::router::{routing_key, split_keys, RendezvousRouter, Router};
 use pws_perpetual::snapshot::{counted, Decoder, Encoder, WireError};
 use pws_simnet::{AuditEvent, ProtoFamily};
 use pws_soap::{Envelope, Fault, MessageContext, XmlNode};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Operation name of a prepare record request.
-pub const OP_TXN_PREPARE: &str = "txnPrepare";
+pub(crate) const OP_TXN_PREPARE: &str = "txnPrepare";
 /// Operation name of a commit decision record request.
-pub const OP_TXN_COMMIT: &str = "txnCommit";
+pub(crate) const OP_TXN_COMMIT: &str = "txnCommit";
 /// Operation name of an abort decision record request.
-pub const OP_TXN_ABORT: &str = "txnAbort";
+pub(crate) const OP_TXN_ABORT: &str = "txnAbort";
 /// Operation name of the reshard fence-and-export record.
-pub const OP_RESHARD_EXPORT: &str = "reshardExport";
+pub(crate) const OP_RESHARD_EXPORT: &str = "reshardExport";
 /// Operation name of the reshard state-install record.
-pub const OP_RESHARD_IMPORT: &str = "reshardImport";
+pub(crate) const OP_RESHARD_IMPORT: &str = "reshardImport";
 
 /// Fault code a shard replies with when a request names a key it no longer
 /// owns after an epoch flip. Clients treat it as *retry guidance* (re-route
@@ -58,30 +57,30 @@ pub const WRONG_SHARD_FAULT: &str = "pws:WrongShard";
 pub const TXN_ABORTED_FAULT: &str = "pws:TxnAborted";
 
 /// Wire tag of a [`TxnRecord::Prepare`].
-pub const TXN_PREPARE: u8 = 1;
+pub(crate) const TXN_PREPARE: u8 = 1;
 /// Wire tag of a [`TxnRecord::Commit`].
-pub const TXN_COMMIT: u8 = 2;
+pub(crate) const TXN_COMMIT: u8 = 2;
 /// Wire tag of a [`TxnRecord::Abort`].
-pub const TXN_ABORT: u8 = 3;
+pub(crate) const TXN_ABORT: u8 = 3;
 
 /// Most entity keys one transaction record may carry; decode rejects more
 /// before allocating.
-pub const MAX_TXN_KEYS: usize = 1024;
+pub(crate) const MAX_TXN_KEYS: usize = 1024;
 /// Most `(key, value)` entries one reshard export/import may carry.
-pub const MAX_RESHARD_ENTRIES: usize = 1 << 16;
+pub(crate) const MAX_RESHARD_ENTRIES: usize = 1 << 16;
 
 /// How long the coordinator waits for a participant's vote before counting
 /// it as a NO (the deterministic Perpetual abort timeout on the prepare).
-pub const PREPARE_TIMEOUT_MS: u64 = 4000;
+pub(crate) const PREPARE_TIMEOUT_MS: u64 = 4000;
 /// Abort timeout on decision records; a timed-out decision is re-sent until
 /// acknowledged, so no participant is left holding locks.
-pub const DECISION_TIMEOUT_MS: u64 = 4000;
+pub(crate) const DECISION_TIMEOUT_MS: u64 = 4000;
 
 // ------------------------------------------------------------------ codecs
 
 /// Lowercase hex encoding — transaction records travel inside SOAP body
 /// text, which is a string.
-pub fn to_hex(bytes: &[u8]) -> String {
+pub(crate) fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
@@ -91,7 +90,7 @@ pub fn to_hex(bytes: &[u8]) -> String {
 }
 
 /// Inverse of [`to_hex`]; `None` for odd lengths or non-hex digits.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
+pub(crate) fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
@@ -180,7 +179,7 @@ impl TxnRecord {
     }
 
     /// Decodes a record, rejecting junk tags and key counts past
-    /// [`MAX_TXN_KEYS`] before allocating.
+    /// `MAX_TXN_KEYS` (1 024) before allocating.
     ///
     /// # Errors
     ///
@@ -212,14 +211,14 @@ impl TxnRecord {
 /// The ordered record that fences and extracts the keys a grown shard
 /// count reassigns away from the receiving shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReshardExport {
+pub(crate) struct ReshardExport {
     /// The new (post-flip) active shard count.
     pub new_count: u32,
 }
 
 impl ReshardExport {
     /// Serializes the record.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u32(self.new_count);
         e.finish().to_vec()
@@ -230,7 +229,7 @@ impl ReshardExport {
     /// # Errors
     ///
     /// Returns [`WireError`] for truncated or trailing input.
-    pub fn decode(buf: &[u8]) -> Result<ReshardExport, WireError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<ReshardExport, WireError> {
         let mut d = Decoder::new(buf);
         let new_count = d.u32()?;
         d.finish()?;
@@ -241,7 +240,7 @@ impl ReshardExport {
 /// The ordered record that installs one source shard's migrated entries at
 /// the new shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReshardImport {
+pub(crate) struct ReshardImport {
     /// The shard the entries were exported from.
     pub from_shard: u32,
     /// The shard count before the flip (entries must route to `from_shard`
@@ -259,7 +258,7 @@ pub struct ReshardImport {
 
 impl ReshardImport {
     /// Serializes the record (entries in the order given; senders sort).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u32(self.from_shard);
         e.put_u32(self.old_count);
@@ -275,7 +274,7 @@ impl ReshardImport {
     /// # Errors
     ///
     /// Returns [`WireError`] for truncated, oversized, or trailing input.
-    pub fn decode(buf: &[u8]) -> Result<ReshardImport, WireError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<ReshardImport, WireError> {
         let mut d = Decoder::new(buf);
         let rec = ReshardImport {
             from_shard: d.u32()?,
@@ -314,7 +313,7 @@ const RESHARD_PAGE_SIZE: u32 = pws_perpetual::DEFAULT_PAGE_SIZE;
 /// page index checkpoints use. The importer recomputes the root over the
 /// received bytes ([`decode_entries`]) and rejects a corrupted or spliced
 /// export before anything installs.
-pub fn encode_entries(entries: &[(String, Vec<u8>)]) -> Vec<u8> {
+pub(crate) fn encode_entries(entries: &[(String, Vec<u8>)]) -> Vec<u8> {
     let mut body = Encoder::new();
     put_entries(&mut body, entries);
     let body = body.finish();
@@ -332,7 +331,7 @@ pub fn encode_entries(entries: &[(String, Vec<u8>)]) -> Vec<u8> {
 ///
 /// Returns [`WireError`] for truncated, oversized, or trailing input, or
 /// when the payload does not hash to the sealed root.
-pub fn decode_entries(buf: &[u8]) -> Result<Vec<(String, Vec<u8>)>, WireError> {
+pub(crate) fn decode_entries(buf: &[u8]) -> Result<Vec<(String, Vec<u8>)>, WireError> {
     let mut d = Decoder::new(buf);
     let root = d.digest()?;
     let body = d.bytes()?;
@@ -357,7 +356,7 @@ pub fn decode_entries(buf: &[u8]) -> Result<Vec<(String, Vec<u8>)>, WireError> {
 /// *values*, never on arrival order, so every coordinator replica — and a
 /// recovering one replaying agreed votes from its checkpointed log —
 /// reaches the identical decision.
-pub fn decide(votes: &BTreeMap<u32, bool>, participants: &BTreeSet<u32>) -> Option<bool> {
+pub(crate) fn decide(votes: &BTreeMap<u32, bool>, participants: &BTreeSet<u32>) -> Option<bool> {
     if votes
         .iter()
         .any(|(s, yes)| participants.contains(s) && !yes)
@@ -377,20 +376,20 @@ pub fn decide(votes: &BTreeMap<u32, bool>, participants: &BTreeSet<u32>) -> Opti
 /// transaction from prepare to decision. Deterministic (sorted map) and
 /// snapshot-encodable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LockTable {
+pub(crate) struct LockTable {
     locks: BTreeMap<String, String>,
 }
 
 impl LockTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LockTable::default()
     }
 
     /// Atomically locks every key for `txn`: either all keys are free (or
     /// already held by `txn` itself) and all become held, or nothing
     /// changes and `false` comes back.
-    pub fn try_lock(&mut self, txn: &str, keys: &[String]) -> bool {
+    pub(crate) fn try_lock(&mut self, txn: &str, keys: &[String]) -> bool {
         if keys
             .iter()
             .any(|k| self.locks.get(k).is_some_and(|h| h != txn))
@@ -404,30 +403,20 @@ impl LockTable {
     }
 
     /// Releases every key held by `txn`; returns how many were freed.
-    pub fn release(&mut self, txn: &str) -> usize {
+    pub(crate) fn release(&mut self, txn: &str) -> usize {
         let before = self.locks.len();
         self.locks.retain(|_, h| h != txn);
         before - self.locks.len()
     }
 
     /// Whether `key` is currently locked.
-    pub fn is_locked(&self, key: &str) -> bool {
+    pub(crate) fn is_locked(&self, key: &str) -> bool {
         self.locks.contains_key(key)
     }
 
-    /// The transaction holding `key`, if any.
-    pub fn holder(&self, key: &str) -> Option<&str> {
-        self.locks.get(key).map(String::as_str)
-    }
-
     /// Number of held keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.locks.len()
-    }
-
-    /// Whether no key is held.
-    pub fn is_empty(&self) -> bool {
-        self.locks.is_empty()
     }
 }
 
@@ -508,7 +497,6 @@ pub struct TxnShim {
     /// reshard records, never by the client-side epoch atomic, so replay
     /// after recovery re-derives identical routing decisions.
     epoch_shards: u32,
-    router: Arc<dyn Router>,
     locks: LockTable,
     /// Participant state: prepared transactions awaiting a decision.
     prepared: BTreeMap<String, Prep>,
@@ -555,14 +543,13 @@ impl std::fmt::Debug for TxnShim {
 
 impl TxnShim {
     /// Wraps `inner` as shard `shard` of sharded service `name`, routing
-    /// with `router` over `active_shards` shards. A `dormant` shard (a
-    /// pre-provisioned spare) holds all client traffic until resharding
-    /// imports open its gate.
+    /// with the [`RendezvousRouter`] over `active_shards` shards. A
+    /// `dormant` shard (a pre-provisioned spare) holds all client traffic
+    /// until resharding imports open its gate.
     pub fn new(
         inner: Box<dyn TxnService>,
         name: impl Into<String>,
         shard: u32,
-        router: Arc<dyn Router>,
         active_shards: u32,
         dormant: bool,
     ) -> Self {
@@ -571,7 +558,6 @@ impl TxnShim {
             name: name.into(),
             shard,
             epoch_shards: active_shards.max(1),
-            router,
             locks: LockTable::new(),
             prepared: BTreeMap::new(),
             finished: BTreeMap::new(),
@@ -672,7 +658,7 @@ impl TxnShim {
     fn partition(&self, keys: &[String]) -> BTreeMap<u32, Vec<String>> {
         let mut by_shard: BTreeMap<u32, Vec<String>> = BTreeMap::new();
         for k in keys {
-            let owner = self.router.shard(k, self.epoch_shards);
+            let owner = RendezvousRouter.shard(k, self.epoch_shards);
             let bucket = by_shard.entry(owner).or_default();
             if !bucket.contains(k) {
                 bucket.push(k.clone());
@@ -1031,10 +1017,9 @@ impl TxnShim {
             }
         }
         let shard = self.shard;
-        let router = Arc::clone(&self.router);
         let mut entries = self
             .inner
-            .export_keys(&|k| router.shard(k, new_count) != shard);
+            .export_keys(&|k| RendezvousRouter.shard(k, new_count) != shard);
         entries.sort();
         for (k, _) in &entries {
             self.fenced.insert(k.clone());
@@ -1083,8 +1068,8 @@ impl TxnShim {
             // Range-bounded install: the key must route *here* at the new
             // count and to the claimed source at the old count; anything
             // else is a mis-addressed (or forged) entry and is dropped.
-            let in_range = self.router.shard(&k, imp.new_count) == self.shard
-                && self.router.shard(&k, imp.old_count) == imp.from_shard;
+            let in_range = RendezvousRouter.shard(&k, imp.new_count) == self.shard
+                && RendezvousRouter.shard(&k, imp.old_count) == imp.from_shard;
             if in_range {
                 ctx.incr_metric("clbft.reshard.imported_keys");
                 accepted.push((k, v));
@@ -1480,9 +1465,9 @@ mod tests {
         assert!(t.try_lock("t1", &ab), "same holder may re-lock");
         assert!(!t.try_lock("t2", &bc), "conflict on b");
         assert!(!t.is_locked("c"), "failed lock must not leak partial locks");
-        assert_eq!(t.holder("a"), Some("t1"));
+        assert_eq!(t.locks.get("a").map(String::as_str), Some("t1"));
         assert_eq!(t.release("t1"), 2);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert!(t.try_lock("t2", &bc));
         assert_eq!(t.len(), 2);
     }

@@ -38,12 +38,12 @@ impl WsCostModel {
     };
 
     /// Cost of marshaling `len` bytes.
-    pub fn marshal_cost(&self, len: usize) -> SimDuration {
+    pub(crate) fn marshal_cost(&self, len: usize) -> SimDuration {
         self.marshal + self.marshal_per_kb.saturating_mul(len as u64 / 1024)
     }
 
     /// Cost of demarshaling `len` bytes.
-    pub fn demarshal_cost(&self, len: usize) -> SimDuration {
+    pub(crate) fn demarshal_cost(&self, len: usize) -> SimDuration {
         self.demarshal + self.demarshal_per_kb.saturating_mul(len as u64 / 1024)
     }
 }

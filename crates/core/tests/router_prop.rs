@@ -9,7 +9,6 @@
 use perpetual_ws::{RendezvousRouter, Router, RouterEpoch, SystemBuilder};
 use proptest::prelude::*;
 use pws_simnet::SimTime;
-use std::sync::Arc;
 
 proptest! {
     /// Seed/instance independence: two separately constructed routers —
@@ -59,7 +58,7 @@ proptest! {
         shards in 1u32..10,
     ) {
         let raw = RendezvousRouter::new();
-        let epoch = RouterEpoch::new(Arc::new(RendezvousRouter::new()), shards);
+        let epoch = RouterEpoch::new(shards);
         prop_assert_eq!(epoch.epoch(), shards);
         let before: Vec<u32> = keys.iter().map(|k| epoch.shard(k)).collect();
         for (k, s) in keys.iter().zip(&before) {
@@ -92,7 +91,7 @@ proptest! {
         base in any::<u32>(),
         shards in 1u32..8,
     ) {
-        let epoch = RouterEpoch::new(Arc::new(RendezvousRouter::new()), shards);
+        let epoch = RouterEpoch::new(shards);
         let keys = 2_000u32;
         let before: Vec<u32> = (0..keys)
             .map(|i| epoch.shard(&format!("k{base}-{i}")))

@@ -49,14 +49,6 @@ impl Authenticator {
             .is_some_and(|(_, mac)| keys.key_between(sender, receiver).verify(msg, mac))
     }
 
-    /// The MAC addressed to `receiver`, if present.
-    pub fn mac_for(&self, receiver: Principal) -> Option<&Mac> {
-        self.entries
-            .iter()
-            .find(|(r, _)| *r == receiver)
-            .map(|(_, m)| m)
-    }
-
     /// Number of (receiver, MAC) entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -91,7 +83,7 @@ pub struct BundleShare {
 }
 
 /// Canonical byte string a share MACs: request id then reply digest.
-pub fn share_message(request_tag: &[u8], reply_digest: &Digest32) -> Vec<u8> {
+pub(crate) fn share_message(request_tag: &[u8], reply_digest: &Digest32) -> Vec<u8> {
     let mut msg = Vec::with_capacity(request_tag.len() + 32);
     msg.extend_from_slice(request_tag);
     msg.extend_from_slice(reply_digest.as_bytes());
@@ -182,8 +174,8 @@ mod tests {
         let auth = Authenticator::compute(&mut keys, sender, &rs, b"m");
         let rebuilt = Authenticator::from_entries(auth.entries().cloned().collect());
         assert_eq!(auth, rebuilt);
-        assert!(rebuilt.mac_for(rs[1]).is_some());
-        assert!(rebuilt.mac_for(Principal::new(9, 9)).is_none());
+        assert!(rebuilt.entries().any(|(r, _)| *r == rs[1]));
+        assert!(!rebuilt.entries().any(|(r, _)| *r == Principal::new(9, 9)));
     }
 
     #[test]

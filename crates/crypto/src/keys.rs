@@ -52,7 +52,7 @@ impl KeyTable {
     }
 
     /// The symmetric key shared by `a` and `b`; symmetric in its arguments.
-    pub fn key_between(&mut self, a: Principal, b: Principal) -> MacKey {
+    pub(crate) fn key_between(&mut self, a: Principal, b: Principal) -> MacKey {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let seed = self.master_seed;
         *self.cache.entry((lo, hi)).or_insert_with(|| {

@@ -20,7 +20,7 @@ impl Digest32 {
     }
 
     /// Renders the first 8 bytes as lowercase hex (for logs).
-    pub fn short_hex(&self) -> String {
+    pub(crate) fn short_hex(&self) -> String {
         self.0[..8].iter().map(|b| format!("{b:02x}")).collect()
     }
 }

@@ -172,11 +172,6 @@ impl Auditor {
         self.groups.entry(group).or_default().f = Some(f);
     }
 
-    /// Number of events ingested so far.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
     /// Total violations recorded (including ones past the detail cap).
     pub fn violation_count(&self) -> u64 {
         self.violations.len() as u64
@@ -188,8 +183,8 @@ impl Auditor {
     }
 
     /// Ingests one event. Returns `true` when it violated an invariant
-    /// (the caller bumps [`AUDIT_VIOLATIONS_KEY`], captures a flight dump
-    /// on the first, and panics in [`AuditMode::Strict`]).
+    /// (the caller bumps [`AUDIT_VIOLATIONS_KEY`] and panics in
+    /// [`AuditMode::Strict`]).
     pub fn ingest(&mut self, group: u32, node: u64, at_us: u64, ev: AuditEvent) -> bool {
         self.events_seen += 1;
         let fail = match ev {

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// Default per-node ring capacity.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// What kind of protocol event a flight record describes. The two payload
 /// slots `a`/`b` of [`FlightEvent`] are interpreted per kind (see

@@ -10,7 +10,7 @@
 
 /// Sub-buckets per power-of-two octave. 8 bounds the relative quantile
 /// error at `1/(2·8) ≈ 6%`.
-pub const SUB_BUCKETS: usize = 8;
+pub(crate) const SUB_BUCKETS: usize = 8;
 const SUB_BITS: u32 = 3;
 
 /// Smallest supported binary exponent: values below `2^MIN_EXP` land in
@@ -195,38 +195,44 @@ impl Histogram {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            if other.min < self.min {
-                self.min = other.min;
-            }
-            if other.max > self.max {
-                self.max = other.max;
-            }
-        }
-    }
-
-    /// Iterates over the non-empty buckets as `(lo, hi, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lo(i), bucket_hi(i), c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    // Test-only: no code outside these tests folds histograms together or
+    // lists their buckets. The tests use both as oracles for the bucket
+    // layout (two histograms fed disjoint halves must fold into the one
+    // fed everything, bucket by bucket).
+    impl Histogram {
+        /// Merges another histogram's samples into this one.
+        fn merge(&mut self, other: &Histogram) {
+            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                *a += b;
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+            if other.count > 0 {
+                if other.min < self.min {
+                    self.min = other.min;
+                }
+                if other.max > self.max {
+                    self.max = other.max;
+                }
+            }
+        }
+
+        /// Iterates over the non-empty buckets as `(lo, hi, count)`.
+        fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
+            self.counts
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (bucket_lo(i), bucket_hi(i), c))
+        }
+    }
 
     #[test]
     fn empty_histogram_reads_zero() {

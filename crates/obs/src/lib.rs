@@ -40,12 +40,10 @@ mod proto;
 mod recorder;
 
 pub use audit::{AuditEvent, AuditMode, Auditor, Violation, AUDIT_VIOLATIONS_KEY};
-pub use flight::{FlightEvent, FlightKind, FlightRing, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{FlightEvent, FlightKind, FlightRing};
 pub use hist::Histogram;
 pub use json::{escape_json, fmt_f64};
-pub use proto::{
-    ProtoDeltas, ProtoFamily, ProtoKey, ProtoSpan, MAX_PROTO_PHASES, PROTO_FAMILY_COUNT,
-};
+pub use proto::{ProtoDeltas, ProtoFamily, ProtoKey, ProtoSpan};
 pub use recorder::{PhaseDeltas, Recorder, Span, SpanKey};
 
 /// How much request-lifecycle tracing the simulation records.
@@ -121,7 +119,7 @@ pub enum Phase {
 }
 
 /// Number of distinct [`Phase`] values.
-pub const PHASE_COUNT: usize = 8;
+pub(crate) const PHASE_COUNT: usize = 8;
 
 impl Phase {
     /// All phases in lifecycle order.
@@ -174,7 +172,7 @@ impl Phase {
     /// Whether this phase closes a span (the request's lifecycle is over
     /// from the caller's point of view).
     #[inline]
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, Phase::Replied | Phase::RoServed)
     }
 }

@@ -38,10 +38,10 @@ pub enum ProtoFamily {
 }
 
 /// Number of distinct [`ProtoFamily`] values.
-pub const PROTO_FAMILY_COUNT: usize = 5;
+pub(crate) const PROTO_FAMILY_COUNT: usize = 5;
 
 /// Most phases any family has; spans store fixed-size arrays of this.
-pub const MAX_PROTO_PHASES: usize = 4;
+pub(crate) const MAX_PROTO_PHASES: usize = 4;
 
 /// Per-family phase-name tables, in lifecycle order. Index 0 opens the
 /// span.
@@ -110,7 +110,7 @@ impl ProtoFamily {
     }
 
     /// Number of phases in this family.
-    pub fn phase_count(self) -> usize {
+    pub(crate) fn phase_count(self) -> usize {
         self.phases().len()
     }
 
@@ -125,7 +125,7 @@ impl ProtoFamily {
     }
 
     /// Whether `phase` closes a span of this family.
-    pub fn is_terminal(self, phase: usize) -> bool {
+    pub(crate) fn is_terminal(self, phase: usize) -> bool {
         match self {
             // Both `installed` and `abandoned` are terminal for a view
             // change; every other family's terminal is its last phase.
@@ -201,7 +201,7 @@ impl ProtoSpan {
     }
 
     /// Whether a terminal phase closed this span, and which one.
-    pub fn closed_phase(&self) -> Option<&'static str> {
+    pub(crate) fn closed_phase(&self) -> Option<&'static str> {
         self.closed_at.map(|i| self.family.phases()[i])
     }
 

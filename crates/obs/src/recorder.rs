@@ -52,7 +52,7 @@ impl Span {
             .filter_map(|&p| self.first(p).map(|t| (p, t)))
     }
 
-    /// Whether a terminal phase ([`Phase::is_terminal`]) was recorded.
+    /// Whether a terminal phase (`Replied` or `RoServed`) was recorded.
     pub fn is_closed(&self) -> bool {
         Phase::ALL
             .iter()
@@ -341,20 +341,9 @@ impl Recorder {
         self.proto_spans_opened
     }
 
-    /// Total protocol spans closed by a terminal phase (abandonment
-    /// included).
-    pub fn proto_spans_closed(&self) -> u64 {
-        self.proto_spans_closed
-    }
-
     /// Iterates over every tracked protocol span, key-ordered.
     pub fn proto_spans(&self) -> impl Iterator<Item = (&ProtoKey, &ProtoSpan)> {
         self.protos.iter()
-    }
-
-    /// Looks up one protocol span.
-    pub fn proto_span(&self, key: &ProtoKey) -> Option<&ProtoSpan> {
-        self.protos.get(key)
     }
 
     // ------------------------------------------------------------ flight
@@ -630,9 +619,9 @@ mod tests {
         assert_eq!(d.closed, Some("installed"));
         assert_eq!(d.abandoned, vec![(1, 4.0)]);
         assert_eq!(r.proto_spans_opened(), 2);
-        assert_eq!(r.proto_spans_closed(), 2);
+        assert_eq!(r.proto_spans_closed, 2);
         assert_eq!(
-            r.proto_span(&vc(1)).unwrap().closed_phase(),
+            r.protos.get(&vc(1)).unwrap().closed_phase(),
             Some("abandoned")
         );
         // Repeat sighting from another replica: no new deltas.
@@ -658,7 +647,7 @@ mod tests {
         let d = r.proto(xfer, 2, 700, 128);
         assert_eq!(d.metric, Some(("obs.proto.xfer.pages_fetched_ms", 0.6)));
         r.proto(xfer, 3, 900, 0);
-        let span = r.proto_span(&xfer).unwrap();
+        let span = r.protos.get(&xfer).unwrap();
         assert!(span.is_closed());
         assert_eq!(span.count(1), 128);
         let json = r.export_trace_json();

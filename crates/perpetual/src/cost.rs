@@ -85,13 +85,13 @@ impl CostModel {
     /// every request beyond the first. `batch_cost(1)` equals the cost one
     /// unbatched event used to pay, so batching is free for singletons and
     /// strictly amortizing beyond.
-    pub fn batch_cost(&self, len: usize) -> SimDuration {
+    pub(crate) fn batch_cost(&self, len: usize) -> SimDuration {
         self.event_overhead + self.batch_item.saturating_mul(len.saturating_sub(1) as u64)
     }
 
     /// CPU cost of serializing or installing an application snapshot of
     /// `len` bytes (charged at checkpoint boundaries and state installs).
-    pub fn snapshot_cost(&self, len: usize) -> SimDuration {
+    pub(crate) fn snapshot_cost(&self, len: usize) -> SimDuration {
         self.snapshot_fixed + self.snapshot_per_kb.saturating_mul(len as u64 / 1024)
     }
 

@@ -127,14 +127,14 @@ const EV_TIME: u8 = 4;
 /// Origin-name constants for CLBFT request ids, one per event family, so
 /// ids never collide across families.
 mod origin {
-    pub fn external(caller: u32) -> u64 {
+    pub(super) fn external(caller: u32) -> u64 {
         0x4558_5400_0000_0000 | caller as u64 // "EXT" | caller
     }
-    pub const RESULT: u64 = 0x5245_5355_4c54_0000;
-    pub const ABORT: u64 = 0x4142_4f52_5400_0000;
-    pub const TIME: u64 = 0x5449_4d45_0000_0000;
+    pub(super) const RESULT: u64 = 0x5245_5355_4c54_0000;
+    pub(super) const ABORT: u64 = 0x4142_4f52_5400_0000;
+    pub(super) const TIME: u64 = 0x5449_4d45_0000_0000;
 
-    pub fn read(caller: u32) -> u64 {
+    pub(super) fn read(caller: u32) -> u64 {
         0x5244_4f00_0000_0000 | caller as u64 // "RDO" | caller
     }
 }
@@ -292,7 +292,7 @@ impl Event {
     /// logical event produces the same id. Time votes intentionally share an
     /// id per token even though payloads differ across replicas — the
     /// primary's suggestion is the one that gets ordered (§4.2).
-    pub fn request_id(&self) -> RequestId {
+    pub(crate) fn request_id(&self) -> RequestId {
         match self {
             // Dedup keys on the dense per-target sequence number, not the
             // caller's global `req_no`: at any one (possibly sharded)
@@ -320,7 +320,7 @@ impl Event {
     /// Wraps this event into a CLBFT request. An external event whose
     /// payload carries the [`CONFIG_PREFIX`] marker becomes a config
     /// record — ordered in a sealed slot of its own.
-    pub fn to_request(&self) -> Request {
+    pub(crate) fn to_request(&self) -> Request {
         let mut req = Request::new(self.request_id(), self.encode());
         if let Event::External { payload, .. } = self {
             req.config = strip_config_payload(payload).is_some();

@@ -106,7 +106,7 @@ pub enum AppCmd {
 /// own no clock, metrics registry, or auditor handle). Purely
 /// observational: no protocol decision may read these.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AppObs {
+pub(crate) enum AppObs {
     /// A protocol-plane span phase sighting (transaction / reshard spans;
     /// see `pws_simnet::ProtoKey`). The hosting replica supplies the group.
     Proto {
@@ -163,7 +163,7 @@ impl AppOutput {
     }
 
     /// Drains the queued metric increments.
-    pub fn take_metrics(&mut self) -> Vec<String> {
+    pub(crate) fn take_metrics(&mut self) -> Vec<String> {
         std::mem::take(&mut self.metrics)
     }
 
@@ -192,7 +192,7 @@ impl AppOutput {
     }
 
     /// Drains the queued observability emissions.
-    pub fn take_obs(&mut self) -> Vec<AppObs> {
+    pub(crate) fn take_obs(&mut self) -> Vec<AppObs> {
         std::mem::take(&mut self.obs)
     }
 

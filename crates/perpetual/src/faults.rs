@@ -68,12 +68,12 @@ pub enum FaultMode {
 
 impl FaultMode {
     /// Whether the replica participates at all.
-    pub fn is_silent(self) -> bool {
+    pub(crate) fn is_silent(self) -> bool {
         matches!(self, FaultMode::Silent)
     }
 
     /// The virtual time (ms) at which this mode wipes the replica, if any.
-    pub fn stale_drop_after_ms(self) -> Option<u64> {
+    pub(crate) fn stale_drop_after_ms(self) -> Option<u64> {
         match self {
             FaultMode::StaleDrop { after_ms } | FaultMode::StaleDropCold { after_ms } => {
                 Some(after_ms)

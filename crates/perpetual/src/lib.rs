@@ -57,5 +57,4 @@ pub use faults::FaultMode;
 pub use group::{GroupId, Topology};
 pub use messages::{decode_pmsg, encode_pmsg, PMsg};
 pub use pws_clbft::{PageManifest, DEFAULT_PAGE_SIZE};
-pub use replica::{group_seed, PerpetualReplica, ReplicaConfig};
-pub use snapshot::{CallSnap, DriverSnapshot};
+pub use replica::{PerpetualReplica, ReplicaConfig};

@@ -58,7 +58,7 @@ use std::sync::Arc;
 /// of slack. This mirrors Castro–Liskov, where the reply cache holds
 /// exactly *one* reply per client (their clients are
 /// single-outstanding); the window here is 512× more generous.
-pub const DEFAULT_REPLY_RETENTION: usize = 512;
+pub(crate) const DEFAULT_REPLY_RETENTION: usize = 512;
 
 /// CLBFT view-change timeout.
 const VIEW_TIMEOUT: SimDuration = SimDuration::from_millis(400);
@@ -148,8 +148,8 @@ pub struct ReplicaConfig {
     /// irrecoverable crash.
     pub recovery_interval: Option<SimDuration>,
     /// Produced replies and reply routes retained per calling group for
-    /// retransmits (see [`DEFAULT_REPLY_RETENTION`] for the caller-side
-    /// contract).
+    /// retransmits (default 512; `DEFAULT_REPLY_RETENTION` in this module
+    /// states the caller-side contract).
     pub reply_retention: usize,
     /// Collect per-request lifecycle phase events from the voter (see
     /// [`pws_clbft::Config::obs_phases`]). Set by the harness when tracing
@@ -167,15 +167,18 @@ pub struct ReplicaConfig {
 impl ReplicaConfig {
     /// A correct replica with default cost model and timeouts.
     pub fn new(group: GroupId, index: u32, topology: Arc<Topology>, master_seed: u64) -> Self {
+        // The voter knobs default to CLBFT's own defaults (any valid `n`
+        // gives the same ones).
+        let bft = Config::new(1);
         ReplicaConfig {
             group,
             index,
             topology,
             master_seed,
             cost: CostModel::DEFAULT,
-            max_batch_size: 16,
-            checkpoint_interval: 64,
-            page_size: pws_clbft::DEFAULT_PAGE_SIZE,
+            max_batch_size: bft.max_batch_size,
+            checkpoint_interval: bft.checkpoint_interval,
+            page_size: bft.page_size,
             recovery_interval: None,
             reply_retention: DEFAULT_REPLY_RETENTION,
             obs_phases: false,
@@ -227,7 +230,7 @@ struct CallerTable {
 }
 
 /// The group-agreed seed delivered in [`AppEvent::Init`].
-pub fn group_seed(master_seed: u64, group: GroupId) -> u64 {
+pub(crate) fn group_seed(master_seed: u64, group: GroupId) -> u64 {
     let mut z = master_seed ^ ((group.0 as u64) << 32 | 0x5eed);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1668,6 +1671,21 @@ mod tests {
             sim.add_node(Box::new(PerpetualReplica::new(cfg, executor())));
         }
         (sim, topo)
+    }
+
+    #[test]
+    fn voter_knobs_default_to_clbfts_and_reach_the_voter() {
+        let mut topo = Topology::new();
+        topo.register(GroupId(0), (0..4).map(NodeId::from_raw).collect());
+        let cfg = ReplicaConfig::new(GroupId(0), 0, Arc::new(topo), 1);
+        let clbft = Config::new(4);
+        let voter = cfg.bft_config(4);
+        assert_eq!(cfg.max_batch_size, clbft.max_batch_size);
+        assert_eq!(cfg.checkpoint_interval, clbft.checkpoint_interval);
+        assert_eq!(cfg.page_size, clbft.page_size);
+        assert_eq!(voter.max_batch_size, clbft.max_batch_size);
+        assert_eq!(voter.checkpoint_interval, clbft.checkpoint_interval);
+        assert_eq!(voter.page_size, clbft.page_size);
     }
 
     #[test]

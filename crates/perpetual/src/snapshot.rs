@@ -25,7 +25,7 @@ const MAX_SNAPSHOT_ITEMS: usize = 1 << 20;
 
 /// One outcall's durable state.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallSnap {
+pub(crate) struct CallSnap {
     /// The call number.
     pub call_no: u64,
     /// The target group (raw id).
@@ -44,7 +44,7 @@ pub struct CallSnap {
 
 /// The durable driver state captured at a checkpoint boundary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DriverSnapshot {
+pub(crate) struct DriverSnapshot {
     /// Next outcall number to assign.
     pub next_call: u64,
     /// Next time-query token to assign.
@@ -77,7 +77,7 @@ pub struct DriverSnapshot {
 impl DriverSnapshot {
     /// Serializes the snapshot (all collections must already be sorted;
     /// [`DriverSnapshot`] builders in this crate guarantee it).
-    pub fn encode(&self) -> Bytes {
+    pub(crate) fn encode(&self) -> Bytes {
         let mut e = Encoder::new();
         // Version 4: the executor (application) bytes moved to the front,
         // directly after the version byte. The executor section is large
@@ -131,7 +131,7 @@ impl DriverSnapshot {
     ///
     /// Returns [`WireError`] for truncated, oversized, or unversioned
     /// input.
-    pub fn decode(buf: &[u8]) -> Result<DriverSnapshot, WireError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<DriverSnapshot, WireError> {
         let mut d = Decoder::new(buf);
         if d.u8()? != 4 {
             return Err(snapshot_err());

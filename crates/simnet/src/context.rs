@@ -165,10 +165,9 @@ impl<'a> Context<'a> {
     }
 
     /// Feeds one protocol observation to the auditor (no-op when auditing
-    /// is off). A violation bumps `obs.audit.violations`, captures a
-    /// flight dump on first occurrence, and — in strict mode — panics,
-    /// which the simulator surfaces as a node panic so test suites fail
-    /// loudly.
+    /// is off). A violation bumps `obs.audit.violations` and — in strict
+    /// mode — panics, which the simulator surfaces as a node panic (with
+    /// its flight dump) so test suites fail loudly.
     pub fn obs_audit(&mut self, group: u32, ev: AuditEvent) {
         let at_us = (self.state.now + self.elapsed).as_micros();
         let node = self.node.raw() as u64;
@@ -178,9 +177,6 @@ impl<'a> Context<'a> {
         };
         if fired {
             self.state.metrics.incr(AUDIT_VIOLATIONS_KEY);
-            if self.state.audit_dump.is_none() {
-                self.state.audit_dump = Some(self.state.obs.dump_all_flight());
-            }
             let aud = self.state.audit.as_ref().expect("just ingested");
             if aud.mode() == AuditMode::Strict {
                 let last = aud

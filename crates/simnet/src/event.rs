@@ -53,26 +53,26 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub fn push(&mut self, at: SimTime, to: NodeId, kind: EventKind) {
+    pub(crate) fn push(&mut self, at: SimTime, to: NodeId, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Event { at, seq, to, kind });
     }
 
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         self.heap.pop()
     }
 
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }

@@ -1,6 +1,5 @@
 //! Lightweight metrics used by tests and the benchmark harnesses.
 
-use crate::time::SimDuration;
 use pws_obs::Histogram;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -23,7 +22,7 @@ pub struct Metrics {
 /// Default capacity of a [`GaugeRing`]: enough for the tail of a bench
 /// run at one sample per ordered batch, fixed so memory never grows with
 /// run length.
-pub const DEFAULT_GAUGE_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_GAUGE_CAPACITY: usize = 4096;
 
 /// A fixed-capacity time-series ring of `(t_us, value)` gauge samples.
 ///
@@ -98,8 +97,8 @@ impl GaugeRing {
 
 /// Pre-formatted metric keys for one [`Metrics::record_batch_with`] prefix.
 ///
-/// `record_batch` formats three key strings per call; on hot paths
-/// (per-ordered-batch) callers intern a `BatchKeys` once instead.
+/// Formatting three key strings per batch would cost the per-ordered-batch
+/// hot path; callers intern a `BatchKeys` once instead.
 #[derive(Debug, Clone)]
 pub struct BatchKeys {
     /// `<prefix>.batches` counter key.
@@ -147,11 +146,6 @@ impl Metrics {
         self.samples.entry(name.to_owned()).or_default().push(v);
     }
 
-    /// Records a duration sample (in milliseconds) under `name`.
-    pub fn sample_duration(&mut self, name: &str, d: SimDuration) {
-        self.sample(name, d.as_micros() as f64 / 1000.0);
-    }
-
     /// Records `v` into the histogram `name`, creating it if absent.
     pub fn record_hist(&mut self, name: &str, v: f64) {
         self.hists.entry(name.to_owned()).or_default().record(v);
@@ -172,13 +166,6 @@ impl Metrics {
         self.hists.get(name).and_then(Summary::of_histogram)
     }
 
-    /// Number of values recorded under `name` (raw samples plus histogram
-    /// entries).
-    pub fn sample_count(&self, name: &str) -> usize {
-        self.samples.get(name).map_or(0, Vec::len)
-            + self.hists.get(name).map_or(0, |h| h.count() as usize)
-    }
-
     /// Iterates over `(name, value)` for all counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
@@ -196,7 +183,7 @@ impl Metrics {
     }
 
     /// Records a gauge sample `(t_us, value)` into the ring `name`,
-    /// creating it at [`DEFAULT_GAUGE_CAPACITY`] if absent.
+    /// creating it at `DEFAULT_GAUGE_CAPACITY` samples if absent.
     pub fn gauge(&mut self, name: &str, t_us: u64, value: f64) {
         self.gauges
             .entry(name.to_owned())
@@ -204,25 +191,9 @@ impl Metrics {
             .push(t_us, value);
     }
 
-    /// The gauge ring recorded under `name`, if any.
-    pub fn gauge_ring(&self, name: &str) -> Option<&GaugeRing> {
-        self.gauges.get(name)
-    }
-
-    /// The retained time series of gauge `name`, oldest first (empty
-    /// iterator when the gauge was never written).
-    pub fn timeseries(&self, name: &str) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.gauges.get(name).into_iter().flat_map(GaugeRing::iter)
-    }
-
     /// Iterates over `(name, ring)` for all gauge rings, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, &GaugeRing)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Summary statistics over the retained values of gauge `name`.
-    pub fn gauge_summary(&self, name: &str) -> Option<Summary> {
-        self.gauges.get(name).and_then(GaugeRing::summary)
     }
 
     /// Clears every counter, sample, histogram, and gauge ring (used
@@ -235,18 +206,12 @@ impl Metrics {
         self.gauges.clear();
     }
 
-    /// Records one ordered batch of `len` items under `prefix`: bumps
-    /// `<prefix>.batches`, adds `len` to `<prefix>.requests`, and records
-    /// the occupancy into the `<prefix>.occupancy` histogram. Benches and
-    /// tests use this to assert batching actually engaged (via
-    /// [`Metrics::mean_batch_occupancy`]) instead of inferring it from
-    /// wall-clock.
-    pub fn record_batch(&mut self, prefix: &str, len: usize) {
-        self.record_batch_with(&BatchKeys::new(prefix), len);
-    }
-
-    /// Like [`Metrics::record_batch`] but with pre-interned keys, so the
-    /// per-batch hot path does not re-`format!` three strings.
+    /// Records one ordered batch of `len` items under the prefix `keys`
+    /// was interned for: bumps `<prefix>.batches`, adds `len` to
+    /// `<prefix>.requests`, and records the occupancy into the
+    /// `<prefix>.occupancy` histogram. Benches and tests use this to assert
+    /// batching actually engaged (via [`Metrics::mean_batch_occupancy`])
+    /// instead of inferring it from wall-clock.
     pub fn record_batch_with(&mut self, keys: &BatchKeys, len: usize) {
         self.add(&keys.batches, 1);
         self.add(&keys.requests, len as u64);
@@ -254,7 +219,7 @@ impl Metrics {
     }
 
     /// Number of batches recorded under `prefix` via
-    /// [`Metrics::record_batch`].
+    /// [`Metrics::record_batch_with`].
     pub fn batches(&self, prefix: &str) -> u64 {
         self.counter(&format!("{prefix}.batches"))
     }
@@ -314,7 +279,7 @@ impl Summary {
 
     /// Computes a summary from a histogram; returns `None` if empty. Count,
     /// mean, min, and max are exact; percentiles are bucket-approximate.
-    pub fn of_histogram(h: &Histogram) -> Option<Summary> {
+    pub(crate) fn of_histogram(h: &Histogram) -> Option<Summary> {
         if h.is_empty() {
             return None;
         }
@@ -333,6 +298,19 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Test-only oracles: the key-per-call batch recorder that `BatchKeys`
+    // must match, and a per-name value count.
+    impl Metrics {
+        fn record_batch(&mut self, prefix: &str, len: usize) {
+            self.record_batch_with(&BatchKeys::new(prefix), len);
+        }
+
+        fn sample_count(&self, name: &str) -> usize {
+            self.samples.get(name).map_or(0, Vec::len)
+                + self.hists.get(name).map_or(0, |h| h.count() as usize)
+        }
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -363,15 +341,6 @@ mod tests {
         assert!(Summary::of(&[]).is_none());
         let m = Metrics::new();
         assert!(m.summary("missing").is_none());
-    }
-
-    #[test]
-    fn duration_samples_in_millis() {
-        let mut m = Metrics::new();
-        m.sample_duration("lat", SimDuration::from_micros(2500));
-        let s = m.summary("lat").unwrap();
-        assert!((s.mean - 2.5).abs() < 1e-9);
-        assert_eq!(m.sample_count("lat"), 1);
     }
 
     #[test]
@@ -442,23 +411,20 @@ mod tests {
     #[test]
     fn metrics_gauges_timeseries_and_summary() {
         let mut m = Metrics::new();
-        assert!(m.timeseries("q").next().is_none());
-        assert!(m.gauge_summary("q").is_none());
+        assert!(m.gauges().next().is_none());
         for i in 1..=10u64 {
             m.gauge("q", i * 1000, i as f64);
         }
-        assert_eq!(m.timeseries("q").count(), 10);
-        assert_eq!(
-            m.gauge_ring("q").unwrap().capacity(),
-            DEFAULT_GAUGE_CAPACITY
-        );
-        let s = m.gauge_summary("q").unwrap();
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 10.0);
         let names: Vec<&str> = m.gauges().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["q"]);
+        let (_, ring) = m.gauges().next().unwrap();
+        assert_eq!(ring.iter().count(), 10);
+        assert_eq!(ring.capacity(), DEFAULT_GAUGE_CAPACITY);
+        let s = ring.summary().unwrap();
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.max, 10.0);
         m.reset();
-        assert!(m.gauge_ring("q").is_none());
+        assert!(m.gauges().next().is_none());
     }
 
     #[test]

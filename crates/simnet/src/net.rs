@@ -53,16 +53,6 @@ pub struct LinkConfig {
     pub drop_probability: f64,
 }
 
-impl LinkConfig {
-    /// A perfectly reliable zero-latency link (useful in unit tests).
-    pub const IDEAL: LinkConfig = LinkConfig {
-        base: SimDuration::ZERO,
-        per_byte_us: 0.0,
-        jitter: SimDuration::ZERO,
-        drop_probability: 0.0,
-    };
-}
-
 impl Default for LinkConfig {
     /// The paper's LAN: 39 µs one-way, ~1 Gbit/s (0.008 µs/byte), small
     /// jitter, no losses.
@@ -106,11 +96,6 @@ impl NetConfig {
     /// The default link parameters.
     pub fn default_link(&self) -> LinkConfig {
         self.default_link
-    }
-
-    /// Sets the latency for self-sends (local hand-off).
-    pub fn set_local_latency(&mut self, d: SimDuration) {
-        self.local = d;
     }
 
     /// Overrides the link parameters for the directed pair `(from, to)`.
@@ -170,7 +155,7 @@ impl NetConfig {
     }
 
     /// Whether any flap schedule currently severs `from → to` at `now`.
-    pub fn flap_severed(&self, from: NodeId, to: NodeId, now: SimTime) -> bool {
+    pub(crate) fn flap_severed(&self, from: NodeId, to: NodeId, now: SimTime) -> bool {
         self.flaps
             .iter()
             .any(|f| f.covers(from, to) && f.severed_at(now))
@@ -187,7 +172,7 @@ impl NetConfig {
     }
 
     /// Whether `node` is currently crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
+    pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
         self.crashed.contains(&node)
     }
 
@@ -234,6 +219,16 @@ impl NetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LinkConfig {
+        /// A perfectly reliable zero-latency link (useful in unit tests).
+        const IDEAL: LinkConfig = LinkConfig {
+            base: SimDuration::ZERO,
+            per_byte_us: 0.0,
+            jitter: SimDuration::ZERO,
+            drop_probability: 0.0,
+        };
+    }
 
     fn ids() -> (NodeId, NodeId) {
         (NodeId(0), NodeId(1))
@@ -309,13 +304,12 @@ mod tests {
 
     #[test]
     fn self_send_uses_local_latency() {
-        let mut net = NetConfig::new(LinkConfig::default());
-        net.set_local_latency(SimDuration::from_micros(2));
+        let net = NetConfig::new(LinkConfig::default());
         let mut rng = DetRng::derive(0, 0);
         let a = NodeId(5);
         assert_eq!(
             net.latency(a, a, 10_000, SimTime::ZERO, &mut rng),
-            Some(SimDuration::from_micros(2))
+            Some(SimDuration::from_micros(1))
         );
     }
 

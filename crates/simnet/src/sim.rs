@@ -56,12 +56,10 @@ pub(crate) struct SimState {
     /// Opt-in online protocol invariant auditor — like the recorder, a
     /// pure consumer of the event stream.
     pub audit: Option<Auditor>,
-    /// Flight dump captured at the first audit violation.
-    pub audit_dump: Option<String>,
 }
 
 impl SimState {
-    pub fn send_message(&mut self, from: NodeId, to: NodeId, msg: Bytes, depart: SimTime) {
+    pub(crate) fn send_message(&mut self, from: NodeId, to: NodeId, msg: Bytes, depart: SimTime) {
         self.metrics.add("net.bytes_sent", msg.len() as u64);
         self.metrics.incr("net.messages_sent");
         match self
@@ -78,18 +76,18 @@ impl SimState {
         }
     }
 
-    pub fn set_timer(&mut self, node: NodeId, at: SimTime) -> TimerId {
+    pub(crate) fn set_timer(&mut self, node: NodeId, at: SimTime) -> TimerId {
         let id = self.next_timer;
         self.next_timer += 1;
         self.queue.push(at, node, EventKind::Timer { id });
         TimerId(id)
     }
 
-    pub fn cancel_timer(&mut self, timer: TimerId) {
+    pub(crate) fn cancel_timer(&mut self, timer: TimerId) {
         self.cancelled.insert(timer.0);
     }
 
-    pub fn node_rng(&mut self, node: NodeId) -> &mut DetRng {
+    pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut DetRng {
         &mut self.node_rngs[node.0 as usize]
     }
 }
@@ -144,7 +142,6 @@ impl Simulation {
                 trace: TraceDigest::new(),
                 obs: Recorder::new(),
                 audit: None,
-                audit_dump: None,
             },
             event_budget: u64::MAX,
             panicked: None,
@@ -180,7 +177,6 @@ impl Simulation {
     /// violation, but a violation means the protocol already broke).
     pub fn set_auditor(&mut self, mode: Option<AuditMode>) {
         self.state.audit = mode.map(Auditor::new);
-        self.state.audit_dump = None;
     }
 
     /// The protocol auditor, if enabled.
@@ -194,11 +190,6 @@ impl Simulation {
         self.state.audit.as_mut()
     }
 
-    /// The flight dump captured at the first audit violation, if any.
-    pub fn audit_dump(&self) -> Option<&str> {
-        self.state.audit_dump.as_deref()
-    }
-
     /// The flight-recorder dump captured when a node panicked, if any.
     pub fn flight_dump(&self) -> Option<&str> {
         self.flight_dump.as_deref()
@@ -207,12 +198,6 @@ impl Simulation {
     /// The payload of the node panic that poisoned this simulation, if any.
     pub fn panic_message(&self) -> Option<&str> {
         self.panicked.as_ref().map(|(_, m)| m.as_str())
-    }
-
-    /// Caps the total number of processed events (protection against
-    /// protocol livelock in property tests).
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
     }
 
     /// Registers a node and schedules its `on_start` at the current time.
@@ -395,6 +380,13 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Simulation {
+        /// Caps the total number of processed events.
+        fn set_event_budget(&mut self, budget: u64) {
+            self.event_budget = budget;
+        }
+    }
 
     /// Counts messages; replies `reply` times to each, spending `cost` CPU.
     struct Worker {

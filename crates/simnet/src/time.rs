@@ -46,11 +46,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Duration elapsed since `earlier`, saturating at zero.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl fmt::Debug for SimTime {
@@ -127,18 +122,6 @@ impl SimDuration {
     pub const fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Checked scalar multiply by a float cost factor (for per-byte costs).
-    ///
-    /// Rounds to the nearest microsecond; negative factors are clamped to 0.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        let v = (self.0 as f64 * k.max(0.0)).round();
-        SimDuration(if v >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            v as u64
-        })
-    }
 }
 
 impl fmt::Debug for SimDuration {
@@ -201,21 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn mul_f64_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_micros(100).mul_f64(0.5).as_micros(), 50);
-        assert_eq!(SimDuration::from_micros(3).mul_f64(0.4).as_micros(), 1);
-        assert_eq!(
-            SimDuration::from_micros(10).mul_f64(-2.0),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
     fn saturating_since_is_zero_for_future() {
         let a = SimTime::from_micros(10);
         let b = SimTime::from_micros(20);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a).as_micros(), 10);
+        assert_eq!(a - b, SimDuration::ZERO);
+        assert_eq!((b - a).as_micros(), 10);
     }
 
     #[test]

@@ -42,7 +42,13 @@ impl TraceDigest {
     }
 
     /// Folds a message delivery into the digest.
-    pub fn record_delivery(&mut self, at: SimTime, from: NodeId, to: NodeId, payload: &[u8]) {
+    pub(crate) fn record_delivery(
+        &mut self,
+        at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        payload: &[u8],
+    ) {
         self.mix_u64(1);
         self.mix_u64(at.as_micros());
         self.mix_u64(from.raw() as u64);
@@ -53,7 +59,7 @@ impl TraceDigest {
     }
 
     /// Folds a timer firing into the digest.
-    pub fn record_timer(&mut self, at: SimTime, node: NodeId, timer: u64) {
+    pub(crate) fn record_timer(&mut self, at: SimTime, node: NodeId, timer: u64) {
         self.mix_u64(2);
         self.mix_u64(at.as_micros());
         self.mix_u64(node.raw() as u64);

@@ -42,7 +42,7 @@ impl Addressing {
 
     /// Writes these properties into an envelope's headers (replacing any
     /// existing addressing headers).
-    pub fn apply_to(&self, env: &mut Envelope) {
+    pub(crate) fn apply_to(&self, env: &mut Envelope) {
         for local in ["To", "ReplyTo", "MessageID", "RelatesTo", "Action"] {
             env.remove_headers(local);
         }
@@ -68,7 +68,7 @@ impl Addressing {
     /// Builds the addressing block of a reply to a message with these
     /// properties, as the Perpetual-WS `MessageHandler` does in stage (7):
     /// `to` ← request's `replyTo`, `relatesTo` ← request's `messageID`.
-    pub fn reply_addressing(&self, reply_message_id: impl Into<String>) -> Addressing {
+    pub(crate) fn reply_addressing(&self, reply_message_id: impl Into<String>) -> Addressing {
         Addressing {
             to: self.reply_to.clone(),
             reply_to: None,

@@ -59,11 +59,6 @@ impl MessageContext {
         &self.envelope
     }
 
-    /// Mutable access to the envelope.
-    pub fn envelope_mut(&mut self) -> &mut Envelope {
-        &mut self.envelope
-    }
-
     /// The addressing properties.
     pub fn addressing(&self) -> &Addressing {
         &self.addressing

@@ -4,10 +4,10 @@ use crate::xml::{XmlError, XmlNode};
 use std::fmt;
 
 /// The SOAP 1.2 envelope namespace.
-pub const SOAP_NS: &str = "http://www.w3.org/2003/05/soap-envelope";
+pub(crate) const SOAP_NS: &str = "http://www.w3.org/2003/05/soap-envelope";
 /// The WS-Addressing namespace (paper §5.1 uses WS-Addressing for
 /// asynchronous message correlation).
-pub const WSA_NS: &str = "http://www.w3.org/2005/08/addressing";
+pub(crate) const WSA_NS: &str = "http://www.w3.org/2005/08/addressing";
 
 /// A SOAP fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +49,7 @@ impl Envelope {
     }
 
     /// An envelope whose body is `body`.
-    pub fn with_body(body: XmlNode) -> Self {
+    pub(crate) fn with_body(body: XmlNode) -> Self {
         Envelope {
             header: Vec::new(),
             body,
@@ -57,7 +57,7 @@ impl Envelope {
     }
 
     /// Appends a header block.
-    pub fn add_header(&mut self, node: XmlNode) {
+    pub(crate) fn add_header(&mut self, node: XmlNode) {
         self.header.push(node);
     }
 
@@ -74,7 +74,7 @@ impl Envelope {
     }
 
     /// Removes every header with the given local name.
-    pub fn remove_headers(&mut self, local: &str) {
+    pub(crate) fn remove_headers(&mut self, local: &str) {
         self.header
             .retain(|h| crate::xml::local_name(&h.name) != local);
     }
@@ -87,11 +87,6 @@ impl Envelope {
     /// Mutable access to the body payload element.
     pub fn body_mut(&mut self) -> &mut XmlNode {
         &mut self.body
-    }
-
-    /// Replaces the body payload.
-    pub fn set_body(&mut self, body: XmlNode) {
-        self.body = body;
     }
 
     /// Builds a fault envelope.
@@ -174,11 +169,9 @@ mod tests {
         let mut env = Envelope::new();
         env.add_header(XmlNode::new("wsa:To").with_text("urn:svc:bank"));
         env.add_header(XmlNode::new("wsa:MessageID").with_text("urn:uuid:42"));
-        env.set_body(
-            XmlNode::new("authorize")
-                .attr("card", "1234")
-                .with_text("99.50"),
-        );
+        *env.body_mut() = XmlNode::new("authorize")
+            .attr("card", "1234")
+            .with_text("99.50");
         let xml = env.to_xml();
         assert!(xml.contains("soap:Envelope"));
         let back = Envelope::parse(&xml).unwrap();

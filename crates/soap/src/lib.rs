@@ -14,10 +14,10 @@
 //! * [`context`] — [`MessageContext`], the unit that flows through the
 //!   engine, with per-message [`Options`] (including the abort timeout of
 //!   §4.2).
-//! * [`handler`] — Axis2-style handler chains: an OUT-PIPE and IN-PIPE of
-//!   pluggable [`Handler`]s around a transport boundary (§2.3).
-//! * [`engine`] — the engine that runs contexts through the pipes and
-//!   hands them to a transport sender / message receiver.
+//! * [`engine`] — the out-step of an Axis2-style stack (§2.3): it rejects
+//!   a message without a destination and assigns its `wsa:MessageID`. The
+//!   Perpetual transport sits beside the engine rather than in a handler
+//!   chain.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for how this crate
 //! slots into the full Perpetual-WS stack.
@@ -27,10 +27,10 @@
 //! ```
 //! use pws_soap::{MessageContext, Envelope, engine::Engine};
 //!
-//! let mut engine = Engine::new();
+//! let mut engine = Engine::with_id_prefix("engine");
 //! let mut ctx = MessageContext::request("urn:svc:payment", "authorize");
 //! ctx.body_mut().text = "42".to_owned();
-//! engine.run_out_pipe(&mut ctx).expect("out pipe");
+//! engine.prepare_out(&mut ctx).expect("has a destination");
 //! assert!(ctx.addressing().message_id.is_some(), "engine assigned an id");
 //! let bytes = ctx.to_bytes().expect("serialize");
 //! let back = MessageContext::from_bytes(&bytes).expect("parse");
@@ -44,11 +44,9 @@ pub mod addressing;
 pub mod context;
 pub mod engine;
 pub mod envelope;
-pub mod handler;
 pub mod xml;
 
 pub use addressing::Addressing;
 pub use context::{MessageContext, Options};
 pub use envelope::{Envelope, Fault};
-pub use handler::{Flow, Handler, HandlerError, Pipe};
 pub use xml::{XmlError, XmlNode};

@@ -88,13 +88,6 @@ impl XmlNode {
         self.children.iter().find(|c| local_name(&c.name) == name)
     }
 
-    /// Mutable variant of [`XmlNode::find`].
-    pub fn find_mut(&mut self, name: &str) -> Option<&mut XmlNode> {
-        self.children
-            .iter_mut()
-            .find(|c| local_name(&c.name) == name)
-    }
-
     /// All children with tag `name` (local-name match).
     pub fn find_all(&self, name: &str) -> impl Iterator<Item = &XmlNode> {
         let name = name.to_owned();
@@ -164,7 +157,7 @@ impl XmlNode {
 }
 
 /// The local part of a possibly-prefixed tag name.
-pub fn local_name(name: &str) -> &str {
+pub(crate) fn local_name(name: &str) -> &str {
     name.rsplit(':').next().unwrap_or(name)
 }
 
@@ -415,13 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn find_all_and_find_mut() {
-        let mut doc = XmlNode::new("r")
+    fn find_all_and_find() {
+        let doc = XmlNode::new("r")
             .child(XmlNode::new("x").with_text("1"))
             .child(XmlNode::new("x").with_text("2"));
         assert_eq!(doc.find_all("x").count(), 2);
-        doc.find_mut("x").unwrap().text = "9".into();
-        assert_eq!(doc.find("x").unwrap().text, "9");
+        assert_eq!(doc.find("x").unwrap().text, "1", "the first match");
     }
 
     fn arb_text() -> impl Strategy<Value = String> {

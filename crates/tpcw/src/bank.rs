@@ -7,7 +7,7 @@ use pws_soap::{MessageContext, XmlNode};
 
 /// Validation work the bank does per authorization (the paper uses message
 /// digest calculations to simulate processing time).
-pub const BANK_PROCESSING: SimDuration = SimDuration::from_micros(1_500);
+pub(crate) const BANK_PROCESSING: SimDuration = SimDuration::from_micros(1_500);
 
 /// The bank service: validates card/amount pairs deterministically.
 #[derive(Debug, Default)]
@@ -23,7 +23,7 @@ impl Bank {
 
     /// Deterministic approval rule: a tiny fraction of amounts is declined
     /// so both reply paths are exercised.
-    pub fn approves(amount_cents: u64) -> bool {
+    pub(crate) fn approves(amount_cents: u64) -> bool {
         amount_cents % 1000 != 13
     }
 }

@@ -64,7 +64,7 @@ impl Db {
     }
 
     /// Number of items.
-    pub fn item_count(&self) -> u32 {
+    pub(crate) fn item_count(&self) -> u32 {
         self.items.len() as u32
     }
 
@@ -79,11 +79,6 @@ impl Db {
         let cart = self.carts.entry(session).or_default();
         cart.push((item % item_count, qty.max(1)));
         cart.len()
-    }
-
-    /// The session's cart.
-    pub fn cart(&self, session: u64) -> &[(u32, u32)] {
-        self.carts.get(&session).map_or(&[], Vec::as_slice)
     }
 
     /// Converts the session's cart into an order; returns its id and total.
@@ -127,24 +122,14 @@ impl Db {
     }
 
     /// The most recent order of a session, if any.
-    pub fn last_order(&self, session: u64) -> Option<&Order> {
+    pub(crate) fn last_order(&self, session: u64) -> Option<&Order> {
         self.orders.iter().rev().find(|o| o.session == session)
-    }
-
-    /// Number of orders placed.
-    pub fn order_count(&self) -> usize {
-        self.orders.len()
-    }
-
-    /// Number of authorized orders.
-    pub fn authorized_count(&self) -> usize {
-        self.orders.iter().filter(|o| o.authorized).count()
     }
 }
 
 /// MySQL-like CPU/IO time the bookstore spends serving each page type
 /// (aggregate of its queries; heavier listing pages cost more).
-pub fn page_cost(i: Interaction) -> SimDuration {
+pub(crate) fn page_cost(i: Interaction) -> SimDuration {
     use Interaction::*;
     SimDuration::from_micros(match i {
         Home => 18_000,
@@ -170,20 +155,20 @@ mod tests {
     fn cart_and_order_flow() {
         let mut db = Db::new(100);
         assert_eq!(db.item_count(), 100);
-        assert_eq!(db.cart(7).len(), 0);
+        assert_eq!(db.carts.get(&7).map_or(0, Vec::len), 0);
         db.add_to_cart(7, 3, 2);
         db.add_to_cart(7, 5, 1);
-        assert_eq!(db.cart(7).len(), 2);
+        assert_eq!(db.carts.get(&7).map_or(0, Vec::len), 2);
         let stock_before = db.item(3).unwrap().stock;
         let (order, total) = db.place_order(7);
         assert!(total > 0);
-        assert_eq!(db.cart(7).len(), 0, "cart cleared");
+        assert_eq!(db.carts.get(&7).map_or(0, Vec::len), 0, "cart cleared");
         assert_eq!(db.item(3).unwrap().stock, stock_before - 2);
         assert!(!db.last_order(7).unwrap().authorized);
         assert!(db.authorize_order(order));
         assert!(db.last_order(7).unwrap().authorized);
-        assert_eq!(db.order_count(), 1);
-        assert_eq!(db.authorized_count(), 1);
+        assert_eq!(db.orders.len(), 1);
+        assert_eq!(db.orders.iter().filter(|o| o.authorized).count(), 1);
         assert!(!db.authorize_order(999));
     }
 
@@ -193,7 +178,7 @@ mod tests {
         let (id, total) = db.place_order(42);
         assert_eq!(id, 1);
         assert!(total > 0);
-        assert_eq!(db.order_count(), 1);
+        assert_eq!(db.orders.len(), 1);
     }
 
     #[test]

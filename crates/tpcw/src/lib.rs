@@ -38,4 +38,3 @@ pub mod pge;
 pub mod rbe;
 
 pub use harness::{run_tpcw, TpcwConfig, TpcwResult};
-pub use model::Interaction;

@@ -11,7 +11,7 @@ use pws_simnet::DetRng;
 
 /// A TPC-W web interaction (page).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Interaction {
+pub(crate) enum Interaction {
     /// Store home page.
     Home,
     /// New products listing.
@@ -40,7 +40,7 @@ pub enum Interaction {
 
 impl Interaction {
     /// All twelve interactions.
-    pub const ALL: [Interaction; 12] = [
+    pub(crate) const ALL: [Interaction; 12] = [
         Interaction::Home,
         Interaction::NewProducts,
         Interaction::BestSellers,
@@ -56,7 +56,7 @@ impl Interaction {
     ];
 
     /// Wire name used in SOAP bodies.
-    pub fn op_name(self) -> &'static str {
+    pub(crate) fn op_name(self) -> &'static str {
         match self {
             Interaction::Home => "home",
             Interaction::NewProducts => "newProducts",
@@ -74,19 +74,19 @@ impl Interaction {
     }
 
     /// Parses a wire name.
-    pub fn from_op_name(s: &str) -> Option<Interaction> {
+    pub(crate) fn from_op_name(s: &str) -> Option<Interaction> {
         Interaction::ALL.iter().copied().find(|i| i.op_name() == s)
     }
 
     /// Whether this interaction triggers a payment-gateway call.
-    pub fn hits_pge(self) -> bool {
+    pub(crate) fn hits_pge(self) -> bool {
         self == Interaction::BuyConfirm
     }
 
     /// Whether this interaction leaves the bookstore unchanged and can
     /// travel the read-only fast path. Only the cart update and the order
     /// placement mutate store state; everything else renders from it.
-    pub fn is_read_only(self) -> bool {
+    pub(crate) fn is_read_only(self) -> bool {
         !matches!(self, Interaction::ShoppingCart | Interaction::BuyConfirm)
     }
 }
@@ -130,7 +130,7 @@ fn transitions(from: Interaction) -> &'static [(Interaction, u32)] {
 }
 
 /// Samples the next page after `from`.
-pub fn next_interaction(from: Interaction, rng: &mut DetRng) -> Interaction {
+pub(crate) fn next_interaction(from: Interaction, rng: &mut DetRng) -> Interaction {
     let table = transitions(from);
     let total: u32 = table.iter().map(|(_, w)| w).sum();
     let mut pick = rng.below(total as u64) as u32;

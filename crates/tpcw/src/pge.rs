@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// Local bookkeeping cost per authorization. The paper disregarded the
 /// TPC-W minimum execution time for the PGE "to ensure that the effects of
 /// replication were not masked"; we keep it similarly small.
-pub const PGE_PROCESSING: SimDuration = SimDuration::from_micros(800);
+pub(crate) const PGE_PROCESSING: SimDuration = SimDuration::from_micros(800);
 
 /// The payment gateway service.
 #[derive(Debug)]

@@ -85,7 +85,7 @@ impl Rbe {
     /// different shard (of `shards`), so the store must run them as
     /// cross-shard transactions. Partner probes start at a per-session
     /// offset, so concurrent browsers never contend on one partner key.
-    pub fn with_cross_shard(mut self, shards: u32) -> Self {
+    pub(crate) fn with_cross_shard(mut self, shards: u32) -> Self {
         let router = RendezvousRouter::new();
         let own = router.shard(&self.session.to_string(), shards);
         let start = 1_000 + self.session * 101;
@@ -110,7 +110,7 @@ impl Rbe {
             _ => self.session.to_string(),
         };
         mc.addressing_mut().reply_to = Some(format!("urn:rbe:{}", self.session));
-        if self.engine.run_out_pipe(&mut mc).is_err() {
+        if self.engine.prepare_out(&mut mc).is_err() {
             return;
         }
         let Ok(bytes) = mc.to_bytes() else { return };

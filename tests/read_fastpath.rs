@@ -94,7 +94,7 @@ impl RwClient {
         mc.body_mut().name = op.to_owned();
         mc.body_mut().text = text.to_owned();
         mc.addressing_mut().reply_to = Some("urn:rw".to_owned());
-        self.engine.run_out_pipe(&mut mc).ok()?;
+        self.engine.prepare_out(&mut mc).ok()?;
         mc.to_bytes().ok()
     }
 

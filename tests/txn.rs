@@ -178,7 +178,7 @@ impl TxnDriver {
             .uris
             .route("urn:svc:kv", &mc.body().text)
             .expect("cross-shard keys route to the coordinator");
-        if self.engine.run_out_pipe(&mut mc).is_err() {
+        if self.engine.prepare_out(&mut mc).is_err() {
             return;
         }
         let Ok(bytes) = mc.to_bytes() else { return };
