@@ -5,6 +5,7 @@ use crate::pages::PageManifest;
 use crate::{ReplicaId, Seq, View};
 use bytes::Bytes;
 use pws_crypto::sha256::{Digest32, Sha256};
+use std::sync::OnceLock;
 
 /// Identifies a request uniquely across the group's lifetime.
 ///
@@ -33,39 +34,73 @@ impl std::fmt::Debug for RequestId {
 }
 
 /// An opaque operation to be totally ordered by the group.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Immutable once built: the fields are private and every constructor
+/// starts with no digest, so the digest — computed on first use and kept
+/// across clones — always matches the request it belongs to.
+#[derive(Clone)]
 pub struct Request {
     /// Unique id (used for deduplication).
-    pub id: RequestId,
+    id: RequestId,
     /// Opaque payload; the harness interprets it after `Execute`.
-    pub payload: Bytes,
+    payload: Bytes,
     /// Configuration-record marker: the request carries a group-management
     /// record (transaction decision, reshard step, epoch flip) rather than
     /// ordinary application traffic. A config record is ordered like any
     /// request but always seals a sequence slot of its own — never batched
     /// with application requests — so the slot boundary itself marks the
     /// atomic configuration point in the log.
-    pub config: bool,
+    config: bool,
+    /// [`Request::digest`], once computed.
+    digest: OnceLock<Digest32>,
 }
 
+impl PartialEq for Request {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.config == other.config && self.payload == other.payload
+    }
+}
+impl Eq for Request {}
+
 impl Request {
-    /// Creates an (ordered) request.
-    pub fn new(id: RequestId, payload: Bytes) -> Self {
+    fn build(id: RequestId, payload: Bytes, config: bool) -> Self {
         Request {
             id,
             payload,
-            config: false,
+            config,
+            digest: OnceLock::new(),
         }
+    }
+
+    /// Creates an (ordered) request.
+    pub fn new(id: RequestId, payload: Bytes) -> Self {
+        Request::build(id, payload, false)
     }
 
     /// Creates an ordered configuration record: occupies a sequence slot
     /// of its own, flushing any batch accumulating ahead of it.
     pub fn config_record(id: RequestId, payload: Bytes) -> Self {
-        Request {
-            id,
-            payload,
-            config: true,
-        }
+        Request::build(id, payload, true)
+    }
+
+    /// The same request — id and markers — carrying `payload` instead.
+    pub fn with_payload(&self, payload: Bytes) -> Self {
+        Request::build(self.id, payload, self.config)
+    }
+
+    /// The request's unique id.
+    pub fn id(&self) -> RequestId {
+        self.id
+    }
+
+    /// The opaque payload.
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
+    }
+
+    /// Whether this is a configuration record.
+    pub fn is_config(&self) -> bool {
+        self.config
     }
 
     /// The flag byte (bit 1: config) — the canonical wire and digest
@@ -76,16 +111,32 @@ impl Request {
         u8::from(self.config) << 1
     }
 
+    /// Whether `twin` is this same request — equal id, markers and payload
+    /// bytes. If so and `twin` has been hashed, this copy takes its digest
+    /// instead of hashing the same input again.
+    pub fn adopt_digest(&self, twin: &Request) -> bool {
+        if self != twin {
+            return false;
+        }
+        if let Some(&d) = twin.digest.get() {
+            let _ = self.digest.set(d);
+        }
+        true
+    }
+
     /// The canonical digest of this request. Covers the flag byte so a
     /// flipped config marker cannot ride an existing authenticator.
+    /// Hashed on first use only.
     pub fn digest(&self) -> Digest32 {
-        let mut h = Sha256::new();
-        h.update_u64(self.id.origin);
-        h.update_u64(self.id.counter);
-        h.update(&[self.flags()]);
-        h.update_u64(self.payload.len() as u64);
-        h.update(&self.payload);
-        h.finalize()
+        *self.digest.get_or_init(|| {
+            let mut h = Sha256::new();
+            h.update_u64(self.id.origin);
+            h.update_u64(self.id.counter);
+            h.update(&[self.flags()]);
+            h.update_u64(self.payload.len() as u64);
+            h.update(&self.payload);
+            h.finalize()
+        })
     }
 }
 

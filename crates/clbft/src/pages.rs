@@ -47,6 +47,15 @@ pub(crate) fn page_digest(bytes: &[u8]) -> Digest32 {
     h.finalize()
 }
 
+/// An interior Merkle node over its two children.
+fn merkle_node(l: &Digest32, r: &Digest32) -> Digest32 {
+    let mut h = Sha256::new();
+    h.update(b"pws-merkle-node");
+    h.update(l.as_bytes());
+    h.update(r.as_bytes());
+    h.finalize()
+}
+
 /// The deterministic page table of one snapshot: per-page digests plus the
 /// Merkle root the checkpoint certificate covers.
 ///
@@ -58,6 +67,9 @@ pub struct PageManifest {
     page_size: u32,
     total_len: u64,
     digests: Vec<Digest32>,
+    /// The Merkle tree's interior levels, bottom up, kept so the next
+    /// incremental manifest re-hashes only nodes above a changed page.
+    tree: Vec<Vec<Digest32>>,
     root: Digest32,
 }
 
@@ -108,48 +120,69 @@ impl PageManifest {
                 }
             }
         }
-        let mut m = PageManifest {
-            page_size,
-            total_len: bytes.len() as u64,
-            digests,
-            root: Digest32::ZERO,
-        };
-        m.root = m.compute_root();
-        (m, hashed, dirty)
+        let manifest =
+            PageManifest::assemble(page_size, bytes.len() as u64, digests, prev.map(|(_, m)| m));
+        (manifest, hashed, dirty)
     }
 
-    /// The binary Merkle root over the page digests, additionally covering
-    /// the page size, total length, and page count so no two distinct
-    /// `(geometry, digest list)` pairs alias.
-    fn compute_root(&self) -> Digest32 {
-        let mut level = self.digests.clone();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if let [l, r] = pair {
-                    let mut h = Sha256::new();
-                    h.update(b"pws-merkle-node");
-                    h.update(l.as_bytes());
-                    h.update(r.as_bytes());
-                    next.push(h.finalize());
-                } else {
+    /// Builds the Merkle tree over `digests` and seals the root. An
+    /// interior node whose two children equal the same two children in
+    /// `prev` is taken from `prev` rather than hashed again: the tree is a
+    /// pure function of the digest list, so the reused node is the one a
+    /// full rebuild would compute.
+    fn assemble(
+        page_size: u32,
+        total_len: u64,
+        digests: Vec<Digest32>,
+        prev: Option<&PageManifest>,
+    ) -> PageManifest {
+        let mut tree: Vec<Vec<Digest32>> = Vec::new();
+        loop {
+            let below = tree.last().unwrap_or(&digests);
+            if below.len() <= 1 {
+                break;
+            }
+            let depth = tree.len();
+            let prev_below = prev.and_then(|p| match depth {
+                0 => Some(&p.digests),
+                _ => p.tree.get(depth - 1),
+            });
+            let prev_level = prev.and_then(|p| p.tree.get(depth));
+            let level = below
+                .chunks(2)
+                .enumerate()
+                .map(|(j, pair)| match pair {
+                    [l, r] => {
+                        let unchanged =
+                            prev_below.and_then(|pb| pb.get(2 * j..2 * j + 2)) == Some(pair);
+                        match prev_level.and_then(|pl| pl.get(j)) {
+                            Some(node) if unchanged => *node,
+                            _ => merkle_node(l, r),
+                        }
+                    }
                     // Odd leftover promotes unchanged; the final root hash
                     // covers the count, so a promoted leaf cannot alias an
                     // interior node of a different-sized tree.
-                    next.push(pair[0]);
-                }
-            }
-            level = next;
+                    _ => pair[0],
+                })
+                .collect();
+            tree.push(level);
         }
         let mut h = Sha256::new();
         h.update(b"pws-merkle-root");
-        h.update_u64(u64::from(self.page_size));
-        h.update_u64(self.total_len);
-        h.update_u64(self.digests.len() as u64);
-        if let Some(top) = level.first() {
+        h.update_u64(u64::from(page_size));
+        h.update_u64(total_len);
+        h.update_u64(digests.len() as u64);
+        if let Some(top) = tree.last().unwrap_or(&digests).first() {
             h.update(top.as_bytes());
         }
-        h.finalize()
+        PageManifest {
+            page_size,
+            total_len,
+            digests,
+            tree,
+            root: h.finalize(),
+        }
     }
 
     /// The Merkle root (the digest checkpoint certificates cover).
@@ -239,14 +272,7 @@ impl PageManifest {
         for _ in 0..count {
             digests.push(d.digest()?);
         }
-        let mut m = PageManifest {
-            page_size,
-            total_len,
-            digests,
-            root: Digest32::ZERO,
-        };
-        m.root = m.compute_root();
-        Ok(m)
+        Ok(PageManifest::assemble(page_size, total_len, digests, None))
     }
 }
 
@@ -364,6 +390,21 @@ mod tests {
     }
 
     #[test]
+    fn incremental_rehashes_only_the_path_above_a_dirty_page() {
+        let old = bytes(512); // 64 pages of 8 bytes
+        let prev = PageManifest::compute(&old, 8);
+        let mut new = old.clone();
+        new[300] ^= 1; // dirties page 37
+        let before = pws_crypto::sha256::compressions();
+        let (m, _, _) = PageManifest::compute_incremental(&new, 8, Some((&old, &prev)));
+        let spent = pws_crypto::sha256::compressions() - before;
+        // One page digest (1 block), six interior nodes on its path to the
+        // top (2 blocks each) and the sealed root (2 blocks).
+        assert_eq!(spent, 1 + 6 * 2 + 2);
+        assert_eq!(m, PageManifest::compute(&new, 8));
+    }
+
+    #[test]
     fn codec_roundtrip_and_prefix_truncation() {
         let m = PageManifest::compute(&bytes(100), 16);
         let mut e = Encoder::new();
@@ -420,6 +461,25 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn incremental_manifest_equals_a_full_rebuild(
+            old in proptest::collection::vec(any::<u8>(), 0..400),
+            edits in proptest::collection::vec(any::<u64>(), 0..6),
+            resize in 0usize..480,
+            ps in 1u32..24) {
+            let prev = PageManifest::compute(&old, ps);
+            let mut new = old.clone();
+            new.resize(resize, 7);
+            for edit in edits {
+                if !new.is_empty() {
+                    let i = (edit >> 8) as usize % new.len();
+                    new[i] ^= edit as u8 | 1;
+                }
+            }
+            let (m, _, _) = PageManifest::compute_incremental(&new, ps, Some((&old, &prev)));
+            prop_assert_eq!(m, PageManifest::compute(&new, ps));
+        }
+
         #[test]
         fn manifest_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..512),
                               ps in 1u32..64) {

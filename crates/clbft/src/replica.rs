@@ -371,11 +371,11 @@ impl Replica {
     /// Submits a request at this replica (from a local client/driver).
     pub fn on_request(&mut self, request: Request) -> Vec<Action> {
         let mut out = Vec::new();
-        if self.executed.contains(&request.id) || self.requests.contains_key(&request.id) {
+        if self.executed.contains(&request.id()) || self.requests.contains_key(&request.id()) {
             return out; // duplicate submission or already executed
         }
         self.requests
-            .insert(request.id, ReqState::Pending(request.clone()));
+            .insert(request.id(), ReqState::Pending(request.clone()));
         self.outstanding += 1;
         if self.outstanding == 1 {
             out.push(Action::ViewTimer(TimerCmd::Restart));
@@ -385,7 +385,7 @@ impl Replica {
             return out;
         }
         if self.is_primary() {
-            self.queue.push_back(request.id);
+            self.queue.push_back(request.id());
             self.drain_queue(false, &mut out);
         } else {
             out.push(Action::Send(self.primary(), Msg::Forward(request)));
@@ -417,7 +417,7 @@ impl Replica {
                     // A config record always seals a slot of its own: an
                     // accumulating batch closes ahead of it, and nothing
                     // joins its slot behind it.
-                    if r.config {
+                    if r.is_config() {
                         if requests.is_empty() {
                             requests.push(r.clone());
                         } else {
@@ -450,7 +450,7 @@ impl Replica {
         let slot = self.log.slot_mut(seq);
         slot.pre_prepare = Some((self.view, digest, batch.clone()));
         for r in &batch.requests {
-            if let Some(state) = self.requests.get_mut(&r.id) {
+            if let Some(state) = self.requests.get_mut(&r.id()) {
                 *state = ReqState::Ordered(r.clone());
             }
         }
@@ -458,8 +458,8 @@ impl Replica {
             // The primary never receives its own pre-prepare, so it stamps
             // both the seal and its own acceptance here.
             for r in &batch.requests {
-                self.obs.phase(r.id, Phase::Batched);
-                self.obs.phase(r.id, Phase::PrePrepared);
+                self.obs.phase(r.id(), Phase::Batched);
+                self.obs.phase(r.id(), Phase::PrePrepared);
             }
         }
         self.obs.audit(AuditEvent::PrePrepare {
@@ -556,6 +556,15 @@ impl Replica {
             }
             return;
         }
+        // A request this replica already holds lends its digest to the
+        // proposed copy, so the batch check hashes only unseen requests.
+        for r in &pp.batch.requests {
+            if let Some(ReqState::Pending(mine) | ReqState::Ordered(mine)) =
+                self.requests.get(&r.id())
+            {
+                r.adopt_digest(mine);
+            }
+        }
         if pp.view != self.view
             || from != self.primary()
             || !self.in_watermarks(pp.seq)
@@ -578,12 +587,12 @@ impl Replica {
         slot.pre_prepare = Some((pp.view, pp.digest, pp.batch.clone()));
         let was_idle = self.outstanding == 0;
         for r in &pp.batch.requests {
-            match self.requests.get_mut(&r.id) {
+            match self.requests.get_mut(&r.id()) {
                 Some(st @ ReqState::Pending(_)) => *st = ReqState::Ordered(r.clone()),
                 Some(_) => {}
-                None if self.executed.contains(&r.id) => {} // replayed history
+                None if self.executed.contains(&r.id()) => {} // replayed history
                 None => {
-                    self.requests.insert(r.id, ReqState::Ordered(r.clone()));
+                    self.requests.insert(r.id(), ReqState::Ordered(r.clone()));
                     self.outstanding += 1;
                 }
             }
@@ -593,7 +602,7 @@ impl Replica {
         }
         if self.cfg.obs_phases {
             for r in &pp.batch.requests {
-                self.obs.phase(r.id, Phase::PrePrepared);
+                self.obs.phase(r.id(), Phase::PrePrepared);
             }
         }
         self.obs.audit(AuditEvent::PrePrepare {
@@ -673,7 +682,7 @@ impl Replica {
         if cfg.obs_phases {
             if let Some((_, _, batch)) = &slot.pre_prepare {
                 for r in &batch.requests {
-                    self.obs.phase(r.id, Phase::Prepared);
+                    self.obs.phase(r.id(), Phase::Prepared);
                 }
             }
         }
@@ -771,13 +780,13 @@ impl Replica {
         // adjusted for entries this replica had counted.
         let mut fresh = Vec::new();
         for request in batch.requests {
-            let first_time = self.executed.insert(request.id);
-            if self.requests.remove(&request.id).is_some() {
+            let first_time = self.executed.insert(request.id());
+            if self.requests.remove(&request.id()).is_some() {
                 self.outstanding = self.outstanding.saturating_sub(1);
                 if via_transfer {
                     // Not sealed from this replica's queue, so the request
                     // may still be waiting in it.
-                    self.queue.retain(|q| *q != request.id);
+                    self.queue.retain(|q| *q != request.id());
                 }
             }
             if first_time {
@@ -789,7 +798,7 @@ impl Replica {
             // a local commit certificate stamps the phase.
             if self.cfg.obs_phases && !via_transfer {
                 for r in &fresh {
-                    self.obs.phase(r.id, Phase::Committed);
+                    self.obs.phase(r.id(), Phase::Committed);
                 }
             }
             out.push(Action::Execute { seq, batch: fresh });
@@ -1143,7 +1152,7 @@ impl Replica {
             slot.pre_prepare = Some((pp.view, pp.digest, pp.batch.clone()));
             slot.commit_sent = false;
             for r in &pp.batch.requests {
-                if let Some(st) = self.requests.get_mut(&r.id) {
+                if let Some(st) = self.requests.get_mut(&r.id()) {
                     if matches!(st, ReqState::Pending(_)) {
                         *st = ReqState::Ordered(r.clone());
                     }
@@ -1227,10 +1236,10 @@ impl Replica {
             })
             .collect();
         // Deterministic order: by request id.
-        pending.sort_by_key(|r| r.id);
+        pending.sort_by_key(Request::id);
         if self.is_primary() {
             for req in &pending {
-                self.queue.push_back(req.id);
+                self.queue.push_back(req.id());
             }
             self.drain_queue(false, out);
         } else {
@@ -1297,7 +1306,7 @@ mod tests {
                 Action::Send(dest, m) => inbox.push_back((dest.0 as usize, me, m)),
                 Action::Execute { seq, batch } => {
                     for request in batch {
-                        executed[at].push((seq, request.id));
+                        executed[at].push((seq, request.id()));
                     }
                 }
                 Action::TakeCheckpoint(seq) => {

@@ -166,10 +166,10 @@ impl<'a> Decoder<'a> {
 }
 
 fn put_request(e: &mut Encoder, r: &Request) {
-    e.put_u64(r.id.origin);
-    e.put_u64(r.id.counter);
+    e.put_u64(r.id().origin);
+    e.put_u64(r.id().counter);
     e.put_u8(r.flags());
-    e.put_bytes(&r.payload);
+    e.put_bytes(r.payload());
 }
 
 fn get_request(d: &mut Decoder<'_>) -> Result<Request, WireError> {
@@ -183,9 +183,12 @@ fn get_request(d: &mut Decoder<'_>) -> Result<Request, WireError> {
         return Err(WireError::new("bad request flags"));
     }
     let payload = d.bytes()?;
-    let mut req = Request::new(RequestId::new(origin, counter), payload);
-    req.config = flags & 2 != 0;
-    Ok(req)
+    let id = RequestId::new(origin, counter);
+    Ok(if flags & 2 != 0 {
+        Request::config_record(id, payload)
+    } else {
+        Request::new(id, payload)
+    })
 }
 
 /// Hard cap on the request count of one wire batch: far above any sane

@@ -57,7 +57,7 @@ impl Harness {
                 Action::Send(dest, m) => self.pending.push((dest.0 as usize, me, m)),
                 Action::Execute { seq, batch } => {
                     for request in batch {
-                        self.executed[at].push((seq, request.id));
+                        self.executed[at].push((seq, request.id()));
                     }
                 }
                 Action::TakeCheckpoint(seq) => {
@@ -259,9 +259,9 @@ fn config_records_seal_their_own_slot() {
         .collect();
     let shape: Vec<usize> = pps.iter().map(|pp| pp.batch.len()).collect();
     assert_eq!(shape, vec![2, 1, 2], "config slot stands alone");
-    assert!(pps[1].batch.requests[0].config);
-    assert!(pps[0].batch.requests.iter().all(|r| !r.config));
-    assert!(pps[2].batch.requests.iter().all(|r| !r.config));
+    assert!(pps[1].batch.requests[0].is_config());
+    assert!(pps[0].batch.requests.iter().all(|r| !r.is_config()));
+    assert!(pps[2].batch.requests.iter().all(|r| !r.is_config()));
 }
 
 /// Runs a view change to view 1 by firing timers at replicas 1..3 and
@@ -349,7 +349,7 @@ fn mid_view_change_unprepared_batch_is_dropped_whole_then_rebatched() {
             .batch
             .requests
             .iter()
-            .all(|r| { !pp.batch.requests.iter().any(|orig| orig.id == r.id) })),
+            .all(|r| { !pp.batch.requests.iter().any(|orig| orig.id() == r.id()) })),
         "no partial re-proposal of the dropped batch: {:?}",
         nv.pre_prepares
     );
@@ -371,9 +371,9 @@ fn mid_view_change_unprepared_batch_is_dropped_whole_then_rebatched() {
         })
         .expect("new primary re-batches the surviving requests");
     assert_eq!(fresh.batch.len(), 3);
-    let mut ids: Vec<_> = fresh.batch.requests.iter().map(|r| r.id).collect();
+    let mut ids: Vec<_> = fresh.batch.requests.iter().map(|r| r.id()).collect();
     ids.sort();
-    let mut orig: Vec<_> = pp.batch.requests.iter().map(|r| r.id).collect();
+    let mut orig: Vec<_> = pp.batch.requests.iter().map(|r| r.id()).collect();
     orig.sort();
     assert_eq!(ids, orig, "same request set rides the new batch");
 }

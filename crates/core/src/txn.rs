@@ -546,7 +546,7 @@ impl TxnShim {
     /// with the [`RendezvousRouter`] over `active_shards` shards. A
     /// `dormant` shard (a pre-provisioned spare) holds all client traffic
     /// until resharding imports open its gate.
-    pub fn new(
+    pub(crate) fn new(
         inner: Box<dyn TxnService>,
         name: impl Into<String>,
         shard: u32,

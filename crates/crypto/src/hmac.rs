@@ -15,40 +15,20 @@ const BLOCK: usize = 64;
 /// assert_eq!(tag[0], 0x5b);
 /// ```
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..32].copy_from_slice(sha256(key).as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize().0
+    HmacKey::new(key).mac(msg)
 }
 
-/// Incremental HMAC-SHA-256, for MACs over multi-part messages without
-/// intermediate copies.
+/// A key with its ipad and opad blocks already absorbed: the two SHA-256
+/// midstates every MAC under the key starts from. Kept per key, it makes a
+/// MAC cost its message blocks plus two compressions instead of four.
 #[derive(Clone, Debug)]
-pub struct HmacSha256 {
+pub(crate) struct HmacKey {
     inner: Sha256,
-    opad: [u8; BLOCK],
+    outer: Sha256,
 }
 
-impl HmacSha256 {
-    /// Starts a MAC computation under `key`.
-    pub fn new(key: &[u8]) -> Self {
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK];
         if key.len() > BLOCK {
             key_block[..32].copy_from_slice(sha256(key).as_bytes());
@@ -63,7 +43,39 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 { inner, opad }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// The tag of `msg` under this key.
+    pub(crate) fn mac(&self, msg: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        inner.update(msg);
+        self.finish(inner)
+    }
+
+    fn finish(&self, inner: Sha256) -> [u8; 32] {
+        let mut outer = self.outer.clone();
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize().0
+    }
+}
+
+/// Incremental HMAC-SHA-256, for MACs over multi-part messages without
+/// intermediate copies.
+#[derive(Clone, Debug)]
+pub struct HmacSha256 {
+    key: HmacKey,
+    inner: Sha256,
+}
+
+impl HmacSha256 {
+    /// Starts a MAC computation under `key`.
+    pub fn new(key: &[u8]) -> Self {
+        let key = HmacKey::new(key);
+        let inner = key.inner.clone();
+        HmacSha256 { key, inner }
     }
 
     /// Absorbs message bytes.
@@ -73,11 +85,7 @@ impl HmacSha256 {
 
     /// Finishes and returns the tag.
     pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad);
-        outer.update(inner_digest.as_bytes());
-        outer.finalize().0
+        self.key.finish(self.inner)
     }
 }
 
@@ -143,6 +151,15 @@ mod tests {
             hex(&tag),
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
+    }
+
+    #[test]
+    fn a_kept_key_macs_in_two_compressions_plus_the_message() {
+        let key = HmacKey::new(b"pairwise key");
+        let before = crate::sha256::compressions();
+        let tag = key.mac(&[7u8; 48]);
+        assert_eq!(crate::sha256::compressions() - before, 2);
+        assert_eq!(tag, hmac_sha256(b"pairwise key", &[7u8; 48]));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! master seed, so every correct node computes the same pairwise key without
 //! a simulated handshake.
 
+use crate::hmac::HmacKey;
 use crate::mac::MacKey;
 use std::collections::HashMap;
 use std::fmt;
@@ -35,11 +36,12 @@ impl fmt::Debug for Principal {
     }
 }
 
-/// Lazily-populated table of pairwise MAC keys.
+/// Lazily-populated table of pairwise MAC keys, each kept with its HMAC
+/// midstates so a MAC under it skips re-absorbing the key pads.
 #[derive(Debug)]
 pub struct KeyTable {
     master_seed: u64,
-    cache: HashMap<(Principal, Principal), MacKey>,
+    cache: HashMap<(Principal, Principal), HmacKey>,
 }
 
 impl KeyTable {
@@ -51,17 +53,18 @@ impl KeyTable {
         }
     }
 
-    /// The symmetric key shared by `a` and `b`; symmetric in its arguments.
-    pub(crate) fn key_between(&mut self, a: Principal, b: Principal) -> MacKey {
+    /// The symmetric key shared by `a` and `b`, ready to MAC with;
+    /// symmetric in its arguments.
+    pub(crate) fn key_between(&mut self, a: Principal, b: Principal) -> &HmacKey {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let seed = self.master_seed;
-        *self.cache.entry((lo, hi)).or_insert_with(|| {
+        self.cache.entry((lo, hi)).or_insert_with(|| {
             let mut label = Vec::with_capacity(16);
             label.extend_from_slice(&lo.group.to_be_bytes());
             label.extend_from_slice(&lo.replica.to_be_bytes());
             label.extend_from_slice(&hi.group.to_be_bytes());
             label.extend_from_slice(&hi.replica.to_be_bytes());
-            MacKey::derive_from_label(seed, &label)
+            HmacKey::new(MacKey::derive_from_label(seed, &label).as_bytes())
         })
     }
 }
@@ -75,7 +78,8 @@ mod tests {
         let mut t = KeyTable::new(99);
         let a = Principal::new(0, 1);
         let b = Principal::new(2, 3);
-        assert_eq!(t.key_between(a, b), t.key_between(b, a));
+        let ab = t.key_between(a, b).mac(b"m");
+        assert_eq!(ab, t.key_between(b, a).mac(b"m"));
     }
 
     #[test]
@@ -84,8 +88,9 @@ mod tests {
         let a = Principal::new(0, 0);
         let b = Principal::new(0, 1);
         let c = Principal::new(0, 2);
-        assert_ne!(t.key_between(a, b), t.key_between(a, c));
-        assert_ne!(t.key_between(a, b), t.key_between(b, c));
+        let ab = t.key_between(a, b).mac(b"m");
+        assert_ne!(ab, t.key_between(a, c).mac(b"m"));
+        assert_ne!(ab, t.key_between(b, c).mac(b"m"));
     }
 
     #[test]
@@ -94,9 +99,22 @@ mod tests {
         let mut t2 = KeyTable::new(5);
         let a = Principal::new(1, 0);
         let b = Principal::new(2, 1);
-        assert_eq!(t1.key_between(a, b), t2.key_between(a, b));
+        let k1 = t1.key_between(a, b).mac(b"m");
+        assert_eq!(k1, t2.key_between(a, b).mac(b"m"));
         let mut t3 = KeyTable::new(6);
-        assert_ne!(t1.key_between(a, b), t3.key_between(a, b));
+        assert_ne!(k1, t3.key_between(a, b).mac(b"m"));
+    }
+
+    #[test]
+    fn kept_midstates_mac_like_the_derived_key() {
+        let mut t = KeyTable::new(5);
+        let (a, b) = (Principal::new(1, 0), Principal::new(2, 1));
+        let derived =
+            MacKey::derive_from_label(5, &[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1]);
+        assert_eq!(
+            t.key_between(a, b).mac(b"m"),
+            *derived.compute(b"m").as_bytes()
+        );
     }
 
     #[test]

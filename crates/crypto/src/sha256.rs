@@ -4,7 +4,18 @@
 //! compression function under HMAC. Verified against the standard
 //! known-answer test vectors in the unit tests below.
 
+use std::cell::Cell;
 use std::fmt;
+
+thread_local! {
+    static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// SHA-256 compression-function calls made on this thread so far: the
+/// exact hashing work a run did, whatever the host's clock says.
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(Cell::get)
+}
 
 /// A 256-bit digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -177,6 +188,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        COMPRESSIONS.with(|c| c.set(c.get() + 1));
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -296,6 +308,22 @@ mod tests {
                 inc.update(std::slice::from_ref(b));
             }
             assert_eq!(once, inc.finalize(), "len={len}");
+        }
+    }
+
+    #[test]
+    fn compressions_count_message_and_padding_blocks() {
+        for (len, blocks) in [
+            (0usize, 1u64),
+            (55, 1),
+            (56, 2),
+            (64, 2),
+            (119, 2),
+            (120, 3),
+        ] {
+            let before = compressions();
+            sha256(&vec![0u8; len]);
+            assert_eq!(compressions() - before, blocks, "len={len}");
         }
     }
 

@@ -64,8 +64,9 @@ pub(crate) struct Live {
     pub(crate) abort_fired: bool,
     /// Result proposals submitted into agreement, withdrawn at resolution.
     pub(crate) submitted: Vec<RequestId>,
-    /// Reply digests the co-located driver (or the gate) has validated.
-    pub(crate) validated: Vec<Digest32>,
+    /// Replies the co-located driver (or the gate) has validated, with
+    /// their digests.
+    pub(crate) validated: Vec<(Digest32, Bytes)>,
     /// Fast-path read replies tallied toward the `2f_t + 1` quorum.
     pub(crate) ro_votes: ShareVotes,
 }
@@ -275,7 +276,21 @@ impl Calls {
         if shares.iter().any(|s| s.from.group != call.target.0) {
             return None;
         }
-        let digest = reply_digest(payload);
+        // A reply this call already hashed — validated, or tallied as a
+        // read vote — lends its digest to an equal payload.
+        let live = call.live.as_ref()?;
+        let digest = live
+            .validated
+            .iter()
+            .find(|(_, p)| p.as_ref() == payload)
+            .map(|(d, _)| *d)
+            .or_else(|| {
+                shares
+                    .iter()
+                    .map(|s| s.reply_digest)
+                    .find(|d| live.ro_votes.holds(d, payload))
+            })
+            .unwrap_or_else(|| reply_digest(payload));
         let me = self.topology.principal(self.group, self.index);
         let tag = request_tag(self.group, call_no);
         let need = self.topology.f(call.target) as usize + 1;
@@ -306,7 +321,7 @@ impl Calls {
         let (target_f, target_n) = (self.topology.f(target), self.topology.n(target));
         if share.from.group != target.0
             || share.from.replica >= target_n
-            || digest != reply_digest(&payload)
+            || !(live.ro_votes.holds(&digest, &payload) || digest == reply_digest(&payload))
         {
             return None;
         }

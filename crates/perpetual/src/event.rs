@@ -321,11 +321,13 @@ impl Event {
     /// payload carries the [`CONFIG_PREFIX`] marker becomes a config
     /// record — ordered in a sealed slot of its own.
     pub(crate) fn to_request(&self) -> Request {
-        let mut req = Request::new(self.request_id(), self.encode());
-        if let Event::External { payload, .. } = self {
-            req.config = strip_config_payload(payload).is_some();
+        let (id, bytes) = (self.request_id(), self.encode());
+        match self {
+            Event::External { payload, .. } if strip_config_payload(payload).is_some() => {
+                Request::config_record(id, bytes)
+            }
+            _ => Request::new(id, bytes),
         }
-        req
     }
 }
 
@@ -439,8 +441,11 @@ mod tests {
         let r1 = ev.to_request();
         let r2 = ev.to_request();
         assert_eq!(r1.digest(), r2.digest());
-        assert_eq!(r1.id, ev.request_id());
-        assert!(!r1.config, "plain payloads never become config records");
+        assert_eq!(r1.id(), ev.request_id());
+        assert!(
+            !r1.is_config(),
+            "plain payloads never become config records"
+        );
     }
 
     #[test]
@@ -461,8 +466,8 @@ mod tests {
             payload: wrapped,
         };
         let r = ev.to_request();
-        assert!(r.config, "marked payloads order as config records");
+        assert!(r.is_config(), "marked payloads order as config records");
         // Only External payloads are inspected.
-        assert!(!Event::Abort { call_no: 1 }.to_request().config);
+        assert!(!Event::Abort { call_no: 1 }.to_request().is_config());
     }
 }

@@ -45,6 +45,14 @@ impl ShareVotes {
         shares.len()
     }
 
+    /// Whether `payload` is byte-for-byte the payload already filed under
+    /// `digest` — then it is consistent with `digest` without hashing it.
+    pub(crate) fn holds(&self, digest: &Digest32, payload: &[u8]) -> bool {
+        self.by_digest
+            .get(digest)
+            .is_some_and(|(p, _)| p.as_ref() == payload)
+    }
+
     /// The replicas whose vote is counted, ascending.
     #[cfg(test)]
     pub(crate) fn voters(&self) -> Vec<u32> {

@@ -237,6 +237,10 @@ pub(crate) fn group_seed(master_seed: u64, group: GroupId) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Each distinct copy of one external request the calling drivers sent,
+/// hashed once, with the idxs of the drivers that sent it.
+type Candidates = Vec<(pws_clbft::Request, HashSet<u32>)>;
+
 /// A Perpetual replica node (voter + driver). Implements [`Node`].
 pub struct PerpetualReplica {
     cfg: ReplicaConfig,
@@ -245,10 +249,10 @@ pub struct PerpetualReplica {
     bft: BftReplica,
     keys: KeyTable,
     // ----- voter state -----
-    /// External-request candidates: (caller, req_no) → digest → driver idxs.
-    /// Hashed, not ordered, because never iterated: entries are looked up,
-    /// counted and removed by key, so their order reaches nothing.
-    candidates: HashMap<(GroupId, u64), HashMap<Digest32, HashSet<u32>>>,
+    /// External-request candidates by (caller, req_no). Hashed, not
+    /// ordered, because never iterated: entries are looked up, counted and
+    /// removed by key, so their order reaches nothing.
+    candidates: HashMap<(GroupId, u64), Candidates>,
     /// CLBFT request digests the gate lets through.
     validated: HashSet<Digest32>,
     /// Ordering proposals parked until local validation.
@@ -439,7 +443,8 @@ impl PerpetualReplica {
         }
         let victim = (self.cfg.index + 1) % self.n;
         let mut twisted = pp.batch.clone();
-        twisted.requests[0].payload = corrupt(&twisted.requests[0].payload, 0xA5);
+        let first = &twisted.requests[0];
+        twisted.requests[0] = first.with_payload(corrupt(first.payload(), 0xA5));
         let variant = Msg::PrePrepare(pws_clbft::PrePrepareMsg {
             view: pp.view,
             seq: pp.seq,
@@ -586,7 +591,7 @@ impl PerpetualReplica {
             .record_batch_with(&self.exec_group_keys, batch.len());
         ctx.spend(self.cfg.cost.batch_cost(batch.len()));
         for request in batch {
-            self.handle_ordered(request.payload, ctx);
+            self.handle_ordered(request.payload().clone(), ctx);
         }
     }
 
@@ -772,8 +777,14 @@ impl PerpetualReplica {
     }
 
     fn request_gate_ok(&mut self, request: &pws_clbft::Request) -> bool {
-        match Event::decode(&request.payload) {
-            Ok(Event::External { .. }) => self.validated.contains(&request.digest()),
+        match Event::decode(request.payload()) {
+            Ok(Event::External { caller, req_no, .. }) => {
+                // The copy our own driver already hashed lends its digest.
+                if let Some(candidates) = self.candidates.get(&(caller, req_no)) {
+                    candidates.iter().any(|(c, _)| request.adopt_digest(c));
+                }
+                self.validated.contains(&request.digest())
+            }
             Ok(Event::Result {
                 call_no,
                 digest,
@@ -807,7 +818,7 @@ impl PerpetualReplica {
         let Some(live) = call.live.as_ref() else {
             return true;
         };
-        if live.validated.contains(&digest) {
+        if live.validated.iter().any(|(d, _)| *d == digest) {
             return true;
         }
         let keys = &mut self.keys;
@@ -815,7 +826,7 @@ impl PerpetualReplica {
             return false;
         }
         let live = self.calls.live_mut(call_no).expect("live above");
-        live.validated.push(digest);
+        live.validated.push((digest, payload.clone()));
         true
     }
 
@@ -844,15 +855,10 @@ impl PerpetualReplica {
         }
     }
 
-    fn submit_event(&mut self, ev: &Event, ctx: &mut Context<'_>) {
-        let req = ev.to_request();
-        if crate::event::is_traced_origin(req.id.origin) {
-            ctx.obs_phase(
-                self.cfg.group.0,
-                req.id.origin,
-                req.id.counter,
-                Phase::Queued,
-            );
+    fn submit_event(&mut self, req: pws_clbft::Request, ctx: &mut Context<'_>) {
+        let id = req.id();
+        if crate::event::is_traced_origin(id.origin) {
+            ctx.obs_phase(self.cfg.group.0, id.origin, id.counter, Phase::Queued);
         }
         self.validated.insert(req.digest());
         self.drain_gate(ctx);
@@ -889,18 +895,23 @@ impl PerpetualReplica {
         };
         let key = (caller, req_no);
         let req = ev.to_request();
-        let digest = req.digest();
-        let voters = self
-            .candidates
-            .entry(key)
-            .or_default()
-            .entry(digest)
-            .or_default();
+        // A copy equal to one already hashed takes its digest.
+        let candidates = self.candidates.entry(key).or_default();
+        let at = match candidates.iter().position(|(c, _)| req.adopt_digest(c)) {
+            Some(at) => at,
+            None => {
+                req.digest(); // hashed before the kept copy is taken
+                candidates.push((req.clone(), HashSet::new()));
+                candidates.len() - 1
+            }
+        };
+        let voters = &mut candidates[at].1;
         voters.insert(driver_idx as u32);
         let threshold = self.cfg.topology.f(caller) as usize + 1;
         if voters.len() < threshold {
             return;
         }
+        let digest = req.digest();
         if self
             .delivered_external
             .contains(&delivered_key(caller, target_seq))
@@ -925,7 +936,7 @@ impl PerpetualReplica {
         }
         if !self.validated.contains(&digest) {
             ctx.metrics().incr("perpetual.external_requests_validated");
-            self.submit_event(&ev, ctx);
+            self.submit_event(req, ctx);
         }
     }
 
@@ -961,7 +972,8 @@ impl PerpetualReplica {
     ) {
         let (share, macs) = self.build_share(caller, req_no, &payload, ctx);
         if responder == self.cfg.index {
-            self.handle_reply_share(self.my_node(), caller, req_no, payload, share, ctx);
+            // Built over this very payload: consistent without a re-hash.
+            self.tally_share(self.my_node(), caller, req_no, payload, share, ctx);
         } else {
             let node = self.cfg.topology.node(self.cfg.group, responder);
             self.send_pmsg(
@@ -1134,14 +1146,14 @@ impl PerpetualReplica {
         let ev = Event::Result {
             call_no,
             digest,
-            payload,
+            payload: payload.clone(),
             shares,
         };
         if let Some(live) = self.calls.live_mut(call_no) {
-            live.validated.push(digest);
+            live.validated.push((digest, payload));
             live.submitted.push(ev.request_id());
         }
-        self.submit_event(&ev, ctx);
+        self.submit_event(ev.to_request(), ctx);
     }
 
     // ------------------------------------------------------------ responder
@@ -1157,9 +1169,29 @@ impl PerpetualReplica {
         share: BundleShare,
         ctx: &mut Context<'_>,
     ) {
-        if share.reply_digest != reply_digest(&payload) {
+        // A payload equal to one already filed under the share's digest is
+        // consistent with it without hashing the same bytes again.
+        let filed = matches!(
+            self.responder_state.get(&(caller, req_no)),
+            Some(Some(votes)) if votes.holds(&share.reply_digest, &payload)
+        );
+        if !filed && share.reply_digest != reply_digest(&payload) {
             return; // internally inconsistent share
         }
+        self.tally_share(from, caller, req_no, payload, share, ctx);
+    }
+
+    /// Counts a share whose digest is known to match `payload` toward the
+    /// responder's `2f + 1` quorum, and sends the bundle once it is met.
+    fn tally_share(
+        &mut self,
+        from: NodeId,
+        caller: GroupId,
+        req_no: u64,
+        payload: Bytes,
+        share: BundleShare,
+        ctx: &mut Context<'_>,
+    ) {
         // The share must name a replica of this group and arrive from that
         // very replica: the responder cannot check a share's MACs (they are
         // keyed to the calling drivers), so a member must not be able to

@@ -1,7 +1,7 @@
 //! The simulation engine.
 
 use crate::context::{Context, TimerId};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::metrics::Metrics;
 use crate::net::NetConfig;
 use crate::node::{Node, NodeId};
@@ -23,8 +23,6 @@ pub enum RunOutcome {
     /// The deadline passed (only from [`Simulation::run_until`] /
     /// [`Simulation::run_for`]).
     DeadlineReached,
-    /// The event budget was exhausted (runaway-protection).
-    BudgetExhausted,
     /// A node handler panicked. The simulation is poisoned: the panicking
     /// node is dropped and every subsequent `run_*` call returns this same
     /// outcome. [`Simulation::panic_message`] carries the payload. A bug in
@@ -99,7 +97,8 @@ pub struct Simulation {
     nodes: Vec<Option<Box<dyn Node>>>,
     busy_until: Vec<SimTime>,
     state: SimState,
-    event_budget: u64,
+    /// Events handed to a node handler so far.
+    dispatched: u64,
     /// Set once a node handler panics; poisons all subsequent runs.
     panicked: Option<(NodeId, String)>,
     /// The panicking node's flight-recorder dump, captured at panic time.
@@ -143,7 +142,7 @@ impl Simulation {
                 obs: Recorder::new(),
                 audit: None,
             },
-            event_budget: u64::MAX,
+            dispatched: 0,
             panicked: None,
             flight_dump: None,
         }
@@ -237,6 +236,19 @@ impl Simulation {
         &mut self.state.metrics
     }
 
+    /// Events handed to a node handler so far: starts, deliveries and
+    /// timers that were neither dropped nor deferred.
+    pub fn dispatched_events(&self) -> u64 {
+        self.dispatched
+    }
+
+    /// Binary-heap pushes and pops the event queue has made so far. An
+    /// event the serial-CPU model defers moves between FIFO lanes instead,
+    /// so it adds none.
+    pub fn heap_ops(&self) -> u64 {
+        self.state.queue.heap_ops()
+    }
+
     /// The rolling digest of every delivery and timer processed so far.
     pub fn trace_digest(&self) -> TraceDigest {
         self.state.trace
@@ -280,38 +292,28 @@ impl Simulation {
                 self.state.stop = false;
                 return RunOutcome::Stopped;
             }
-            if self.event_budget == 0 {
-                return RunOutcome::BudgetExhausted;
-            }
-            match self.state.queue.peek_time() {
-                None => {
-                    if deadline != SimTime::MAX {
-                        self.state.now = deadline;
-                    }
-                    return RunOutcome::Quiescent;
-                }
-                Some(t) if t > deadline => {
+            // Serial-server CPU model: an event for a node still busy is
+            // deferred to the instant it frees up. Messages to
+            // unregistered nodes (e.g. replies to a synthetic sender used
+            // by `inject`) and to crashed nodes come back, to be dropped.
+            let (busy_until, net) = (&self.busy_until, &self.state.net);
+            let busy = |ev: &Event| {
+                let until = *busy_until.get(ev.to.0 as usize)?;
+                (until > ev.at && !net.is_crashed(ev.to)).then_some(until)
+            };
+            let Some(ev) = self.state.queue.pop_due(deadline, busy) else {
+                if self.state.queue.peek_time().is_some() {
                     self.state.now = deadline;
                     return RunOutcome::DeadlineReached;
                 }
-                Some(_) => {}
-            }
-            let ev = self.state.queue.pop().expect("peeked nonempty");
-            self.event_budget -= 1;
+                if deadline != SimTime::MAX {
+                    self.state.now = deadline;
+                }
+                return RunOutcome::Quiescent;
+            };
             let to = ev.to;
             let idx = to.0 as usize;
-
-            // Messages to unregistered nodes vanish (e.g. replies to a
-            // synthetic sender used by `inject`), as do messages to crashed
-            // nodes.
             if idx >= self.nodes.len() || self.state.net.is_crashed(to) {
-                continue;
-            }
-
-            // Serial-server CPU model: if the node is still busy, defer.
-            let busy = self.busy_until[idx];
-            if busy > ev.at {
-                self.state.queue.push(busy, to, ev.kind);
                 continue;
             }
             self.state.now = ev.at;
@@ -327,6 +329,7 @@ impl Simulation {
                 Some(n) => n,
                 None => continue, // node currently running?? (impossible: serial)
             };
+            self.dispatched += 1;
             let mut ctx = Context {
                 node: to,
                 state: &mut self.state,
@@ -380,13 +383,6 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl Simulation {
-        /// Caps the total number of processed events.
-        fn set_event_budget(&mut self, budget: u64) {
-            self.event_budget = budget;
-        }
-    }
 
     /// Counts messages; replies `reply` times to each, spending `cost` CPU.
     struct Worker {
@@ -531,28 +527,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_micros(1500));
         let out = sim.run();
         assert_eq!(out, RunOutcome::Quiescent);
-    }
-
-    #[test]
-    fn event_budget_halts_runaway() {
-        struct PingPong {
-            peer: Option<NodeId>,
-        }
-        impl Node for PingPong {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                if let Some(p) = self.peer {
-                    ctx.send(p, Bytes::from_static(b"go"));
-                }
-            }
-            fn on_message(&mut self, from: NodeId, msg: Bytes, ctx: &mut Context<'_>) {
-                ctx.send(from, msg);
-            }
-        }
-        let mut sim = Simulation::new(1);
-        let a = sim.add_node(Box::new(PingPong { peer: None }));
-        sim.add_node(Box::new(PingPong { peer: Some(a) }));
-        sim.set_event_budget(1000);
-        assert_eq!(sim.run(), RunOutcome::BudgetExhausted);
     }
 
     #[test]
