@@ -82,10 +82,10 @@ struct PageFetch {
 /// jump to ([`Action::InstallState`] carries `snapshot` to the harness).
 #[derive(Debug)]
 pub(crate) struct Install {
-    pub seq: Seq,
-    pub exec_chain: Digest32,
-    pub snapshot: Bytes,
-    pub executed: ExecutedSet,
+    pub(crate) seq: Seq,
+    pub(crate) exec_chain: Digest32,
+    pub(crate) snapshot: Bytes,
+    pub(crate) executed: ExecutedSet,
 }
 
 /// What a state-transfer message asks the agreement core to apply, in
@@ -93,15 +93,15 @@ pub(crate) struct Install {
 #[derive(Debug, Default)]
 pub(crate) struct Transfer {
     /// Jump to this checkpoint.
-    pub install: Option<Install>,
+    pub(crate) install: Option<Install>,
     /// Then replay these committed slots: contiguous from the (possibly
     /// just installed) frontier, each sent identically by `f + 1` distinct
     /// responders.
-    pub replay: Vec<(Seq, Batch)>,
+    pub(crate) replay: Vec<(Seq, Batch)>,
     /// A fetch ended or the frontier moved: run the post-transfer tail.
-    pub progressed: bool,
+    pub(crate) progressed: bool,
     /// The `(f + 1)`-th highest view the responders report being in.
-    pub view: Option<View>,
+    pub(crate) view: Option<View>,
 }
 
 /// Maximum `StateResponse`s served to one requester per stable checkpoint:

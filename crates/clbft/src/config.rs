@@ -1,7 +1,5 @@
 //! Group configuration.
 
-use crate::ReplicaId;
-
 /// Static configuration of one CLBFT replica group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
@@ -10,7 +8,7 @@ pub struct Config {
     /// Checkpoint interval: a checkpoint is taken every `k` executions.
     pub checkpoint_interval: u64,
     /// Log window size (high watermark = low watermark + window).
-    pub watermark_window: u64,
+    pub(crate) watermark_window: u64,
     /// Maximum number of requests the primary seals into one batch (one
     /// agreement slot). `1` disables batching entirely.
     pub max_batch_size: usize,
@@ -83,7 +81,7 @@ impl Config {
     }
 
     /// The number of Byzantine faults this group tolerates: `f = (n-1)/3`.
-    pub fn f(&self) -> u32 {
+    pub(crate) fn f(&self) -> u32 {
         (self.n - 1) / 3
     }
 
@@ -108,14 +106,16 @@ impl Config {
     }
 
     /// All replica ids in the group.
-    pub fn replicas(&self) -> impl Iterator<Item = ReplicaId> {
-        (0..self.n).map(ReplicaId)
+    #[cfg(test)]
+    pub(crate) fn replicas(&self) -> impl Iterator<Item = crate::ReplicaId> {
+        (0..self.n).map(crate::ReplicaId)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReplicaId;
 
     #[test]
     fn quorums_for_paper_sizes() {

@@ -104,7 +104,8 @@ impl ExecutedSet {
     }
 
     /// Whether the set covers nothing.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.origins.is_empty()
     }
 
@@ -146,7 +147,7 @@ impl ExecutedSet {
 
     /// The canonical encoding as a byte vector (feeds the checkpoint
     /// digest).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         self.encode_into(&mut e);
         e.finish().to_vec()

@@ -149,7 +149,7 @@ impl View {
     }
 
     /// The next view.
-    pub fn next(self) -> View {
+    pub(crate) fn next(self) -> View {
         View(self.0 + 1)
     }
 }
@@ -166,10 +166,10 @@ pub struct Seq(pub u64);
 
 impl Seq {
     /// The sequence number before the first real one.
-    pub const ZERO: Seq = Seq(0);
+    pub(crate) const ZERO: Seq = Seq(0);
 
     /// The next sequence number.
-    pub fn next(self) -> Seq {
+    pub(crate) fn next(self) -> Seq {
         Seq(self.0 + 1)
     }
 }

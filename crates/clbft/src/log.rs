@@ -9,15 +9,15 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 #[derive(Debug, Default)]
 pub(crate) struct Slot {
     /// The accepted pre-prepare for the highest view seen at this seq.
-    pub pre_prepare: Option<(View, Digest32, Batch)>,
+    pub(crate) pre_prepare: Option<(View, Digest32, Batch)>,
     /// Prepare senders per (view, digest).
-    pub prepares: HashMap<(View, Digest32), HashSet<ReplicaId>>,
+    pub(crate) prepares: HashMap<(View, Digest32), HashSet<ReplicaId>>,
     /// Commit senders per (view, digest).
-    pub commits: HashMap<(View, Digest32), HashSet<ReplicaId>>,
+    pub(crate) commits: HashMap<(View, Digest32), HashSet<ReplicaId>>,
     /// Whether this replica already broadcast its commit for this slot.
-    pub commit_sent: bool,
+    pub(crate) commit_sent: bool,
     /// Whether the slot's batch has been executed locally.
-    pub executed: bool,
+    pub(crate) executed: bool,
 }
 
 impl Slot {

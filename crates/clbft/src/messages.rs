@@ -107,7 +107,7 @@ impl Request {
     /// encoding of the request's markers. Bit 0 is reserved and always
     /// zero: reads are answered outside agreement and never become
     /// requests, and decoders reject a frame that sets it.
-    pub fn flags(&self) -> u8 {
+    pub(crate) fn flags(&self) -> u8 {
         u8::from(self.config) << 1
     }
 
@@ -454,7 +454,8 @@ pub enum Msg {
 
 impl Msg {
     /// A short tag for metrics and traces.
-    pub fn kind(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Msg::Forward(_) => "forward",
             Msg::PrePrepare(_) => "pre-prepare",

@@ -15,7 +15,7 @@
 //! replica re-hashes only pages whose bytes changed since the previous
 //! boundary, so checkpoint CPU stops scaling with total state size.
 
-use crate::wire::{Decoder, Encoder, WireError};
+use crate::wire::{counted, Decoder, Encoder, WireError};
 use pws_crypto::sha256::{Digest32, Sha256};
 
 /// Default page size (bytes) used by [`crate::Config::new`].
@@ -191,7 +191,7 @@ impl PageManifest {
     }
 
     /// The configured page size in bytes.
-    pub fn page_size(&self) -> u32 {
+    pub(crate) fn page_size(&self) -> u32 {
         self.page_size
     }
 
@@ -201,17 +201,18 @@ impl PageManifest {
     }
 
     /// Number of pages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.digests.len()
     }
 
     /// Whether the snapshot is empty (zero pages).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.digests.is_empty()
     }
 
     /// The digest of page `i`, if in range.
-    pub fn digest(&self, i: usize) -> Option<&Digest32> {
+    pub(crate) fn digest(&self, i: usize) -> Option<&Digest32> {
         self.digests.get(i)
     }
 
@@ -237,7 +238,7 @@ impl PageManifest {
     /// Canonical encoding, mirroring [`crate::ExecutedSet::encode_into`]:
     /// geometry first, then the digest list (the root is recomputed on
     /// decode, never trusted from the wire).
-    pub fn encode_into(&self, e: &mut Encoder) {
+    pub(crate) fn encode_into(&self, e: &mut Encoder) {
         e.put_u32(self.page_size);
         e.put_u64(self.total_len);
         e.put_u32(self.digests.len() as u32);
@@ -255,22 +256,23 @@ impl PageManifest {
     ///
     /// Returns [`WireError`] for truncated, oversized, or inconsistent
     /// input.
-    pub fn decode_from(d: &mut Decoder<'_>, max_pages: usize) -> Result<PageManifest, WireError> {
+    pub(crate) fn decode_from(
+        d: &mut Decoder<'_>,
+        max_pages: usize,
+    ) -> Result<PageManifest, WireError> {
         let page_size = d.u32()?;
         if page_size == 0 {
             return Err(WireError::malformed("zero page size"));
         }
         let total_len = d.u64()?;
-        let count = d.u32()? as usize;
-        if count > max_pages {
-            return Err(WireError::malformed("too many pages"));
-        }
-        if count as u64 != total_len.div_ceil(u64::from(page_size)) {
+        let digests = counted(
+            d,
+            max_pages,
+            || WireError::malformed("too many pages"),
+            |d| d.digest(),
+        )?;
+        if digests.len() as u64 != total_len.div_ceil(u64::from(page_size)) {
             return Err(WireError::malformed("page count/length mismatch"));
-        }
-        let mut digests = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            digests.push(d.digest()?);
         }
         Ok(PageManifest::assemble(page_size, total_len, digests, None))
     }
@@ -296,7 +298,7 @@ pub struct PageCounters {
 impl PageCounters {
     /// Drains the counters, returning the accumulated values and zeroing
     /// them (so successive drains sum correctly).
-    pub fn take(&mut self) -> PageCounters {
+    pub(crate) fn take(&mut self) -> PageCounters {
         std::mem::take(self)
     }
 }

@@ -303,7 +303,7 @@ impl Replica {
     }
 
     /// The primary of the current view.
-    pub fn primary(&self) -> ReplicaId {
+    pub(crate) fn primary(&self) -> ReplicaId {
         self.view.primary(self.cfg.n)
     }
 

@@ -165,6 +165,34 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// Reads a `u32`-count-prefixed sequence: a count past `cap` is rejected
+/// with `err` before anything is allocated, the up-front allocation is
+/// capped at 4 096 elements whatever count a peer claims, then `item`
+/// decodes each element. The CLBFT, Perpetual and snapshot codecs read
+/// their count-prefixed sequences through it, so the cap-then-read
+/// discipline lives in one place.
+///
+/// # Errors
+///
+/// Returns `err()` for a count past `cap`, and whatever `item` or the
+/// count read returns (a short buffer is `truncated`).
+pub fn counted<T>(
+    d: &mut Decoder<'_>,
+    cap: usize,
+    err: fn() -> WireError,
+    mut item: impl FnMut(&mut Decoder<'_>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = d.u32()? as usize;
+    if n > cap {
+        return Err(err());
+    }
+    let mut out = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        out.push(item(d)?);
+    }
+    Ok(out)
+}
+
 fn put_request(e: &mut Encoder, r: &Request) {
     e.put_u64(r.id().origin);
     e.put_u64(r.id().counter);
@@ -204,14 +232,12 @@ fn put_batch(e: &mut Encoder, b: &Batch) {
 }
 
 fn get_batch(d: &mut Decoder<'_>) -> Result<Batch, WireError> {
-    let n = d.u32()? as usize;
-    if n > MAX_WIRE_BATCH {
-        return Err(WireError::new("batch too large"));
-    }
-    let mut requests = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        requests.push(get_request(d)?);
-    }
+    let requests = counted(
+        d,
+        MAX_WIRE_BATCH,
+        || WireError::new("batch too large"),
+        get_request,
+    )?;
     Ok(Batch::new(requests))
 }
 
@@ -253,6 +279,15 @@ const TAG_PAGE_RESPONSE: u8 = 11;
 /// O(origins + reorder residue), not O(executed requests), so honest sets
 /// sit far below this cap for the lifetime of a deployment.
 pub(crate) const MAX_WIRE_EXECUTED: usize = 1 << 20;
+
+/// Hard cap on the prepared claims of one view-change vote.
+const MAX_WIRE_PREPARED: usize = 100_000;
+
+/// Hard cap on the voter list of one new-view message.
+const MAX_WIRE_VOTERS: usize = 100_000;
+
+/// Hard cap on the re-issued pre-prepares of one new-view message.
+const MAX_WIRE_NEW_VIEW_PRE_PREPARES: usize = 1_000_000;
 
 /// Hard cap on the log-suffix slot count of one state response: the suffix
 /// spans at most a watermark window of slots in any honest response.
@@ -392,19 +427,19 @@ pub fn decode_msg(buf: &[u8]) -> Result<Msg, WireError> {
             let new_view = View(d.u64()?);
             let stable_seq = Seq(d.u64()?);
             let stable_digest = d.digest()?;
-            let n = d.u32()? as usize;
-            if n > 100_000 {
-                return Err(WireError::new("too many prepared claims"));
-            }
-            let mut prepared = Vec::with_capacity(n);
-            for _ in 0..n {
-                prepared.push(PreparedClaim {
-                    view: View(d.u64()?),
-                    seq: Seq(d.u64()?),
-                    digest: d.digest()?,
-                    batch: get_batch(&mut d)?,
-                });
-            }
+            let prepared = counted(
+                &mut d,
+                MAX_WIRE_PREPARED,
+                || WireError::new("too many prepared claims"),
+                |d| {
+                    Ok(PreparedClaim {
+                        view: View(d.u64()?),
+                        seq: Seq(d.u64()?),
+                        digest: d.digest()?,
+                        batch: get_batch(d)?,
+                    })
+                },
+            )?;
             Msg::ViewChange(ViewChangeMsg {
                 new_view,
                 stable_seq,
@@ -415,22 +450,18 @@ pub fn decode_msg(buf: &[u8]) -> Result<Msg, WireError> {
         }
         TAG_NEW_VIEW => {
             let view = View(d.u64()?);
-            let nv_count = d.u32()? as usize;
-            if nv_count > 100_000 {
-                return Err(WireError::new("too many voters"));
-            }
-            let mut voters = Vec::with_capacity(nv_count);
-            for _ in 0..nv_count {
-                voters.push(ReplicaId(d.u32()?));
-            }
-            let pp_count = d.u32()? as usize;
-            if pp_count > 1_000_000 {
-                return Err(WireError::new("too many pre-prepares"));
-            }
-            let mut pre_prepares = Vec::with_capacity(pp_count);
-            for _ in 0..pp_count {
-                pre_prepares.push(get_pre_prepare(&mut d)?);
-            }
+            let voters = counted(
+                &mut d,
+                MAX_WIRE_VOTERS,
+                || WireError::new("too many voters"),
+                |d| Ok(ReplicaId(d.u32()?)),
+            )?;
+            let pre_prepares = counted(
+                &mut d,
+                MAX_WIRE_NEW_VIEW_PRE_PREPARES,
+                || WireError::new("too many pre-prepares"),
+                get_pre_prepare,
+            )?;
             Msg::NewView(NewViewMsg {
                 view,
                 voters,
@@ -448,17 +479,17 @@ pub fn decode_msg(buf: &[u8]) -> Result<Msg, WireError> {
             let exec_chain = d.digest()?;
             let manifest = PageManifest::decode_from(&mut d, MAX_WIRE_PAGES)?;
             let executed = crate::ExecutedSet::decode_from(&mut d, MAX_WIRE_EXECUTED)?;
-            let suffix_count = d.u32()? as usize;
-            if suffix_count > MAX_WIRE_SUFFIX {
-                return Err(WireError::new("suffix too large"));
-            }
-            let mut suffix = Vec::with_capacity(suffix_count.min(4096));
-            for _ in 0..suffix_count {
-                suffix.push(SuffixSlot {
-                    seq: Seq(d.u64()?),
-                    batch: get_batch(&mut d)?,
-                });
-            }
+            let suffix = counted(
+                &mut d,
+                MAX_WIRE_SUFFIX,
+                || WireError::new("suffix too large"),
+                |d| {
+                    Ok(SuffixSlot {
+                        seq: Seq(d.u64()?),
+                        batch: get_batch(d)?,
+                    })
+                },
+            )?;
             Msg::StateResponse(StateResponseMsg {
                 seq,
                 view,
@@ -478,18 +509,16 @@ pub fn decode_msg(buf: &[u8]) -> Result<Msg, WireError> {
         TAG_PAGE_RESPONSE => {
             let seq = Seq(d.u64()?);
             let first = d.u32()?;
-            let count = d.u32()? as usize;
             // Decode cap only: the protocol cap (MAX_PAGES_PER_FETCH) is
             // enforced — and *counted* — by the fetch state machine, so an
             // over-cap-but-decodable response is observable misbehavior,
             // not a silent codec drop.
-            if count > MAX_WIRE_PAGE_RESPONSE {
-                return Err(WireError::new("too many response pages"));
-            }
-            let mut pages = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                pages.push(d.bytes()?);
-            }
+            let pages = counted(
+                &mut d,
+                MAX_WIRE_PAGE_RESPONSE,
+                || WireError::new("too many response pages"),
+                |d| d.bytes(),
+            )?;
             Msg::PageResponse(PageResponseMsg {
                 seq,
                 first,
@@ -637,6 +666,95 @@ mod tests {
             e.put_u32(suffix_count);
             let err = decode_msg(&e.finish()).unwrap_err();
             assert!(err.to_string().contains(what), "{err}");
+        }
+    }
+
+    /// Every count-prefixed field of a CLBFT frame: one element past its
+    /// cap fails naming the field, before any element is read, and exactly
+    /// the cap with no elements behind it fails as `truncated`.
+    #[test]
+    fn every_count_prefix_is_capped() {
+        let chain = sample_request(1).digest();
+        let state_response = |e: &mut Encoder| {
+            e.put_u8(TAG_STATE_RESPONSE);
+            e.put_u64(64); // seq
+            e.put_u64(0); // view
+            e.put_digest(&chain);
+        };
+        let manifest = |e: &mut Encoder| {
+            state_response(e);
+            PageManifest::compute(b"snap", 4).encode_into(e);
+        };
+        type Frame<'a> = &'a dyn Fn(&mut Encoder, u32);
+        let cases: [(&str, usize, Frame<'_>); 9] = [
+            ("batch too large", MAX_WIRE_BATCH, &|e, n| {
+                e.put_u8(TAG_PRE_PREPARE);
+                e.put_u64(0); // view
+                e.put_u64(1); // seq
+                e.put_digest(&chain);
+                e.put_u32(n);
+            }),
+            ("too many prepared claims", MAX_WIRE_PREPARED, &|e, n| {
+                e.put_u8(TAG_VIEW_CHANGE);
+                e.put_u64(1); // new view
+                e.put_u64(0); // stable seq
+                e.put_digest(&chain);
+                e.put_u32(n);
+            }),
+            ("too many voters", MAX_WIRE_VOTERS, &|e, n| {
+                e.put_u8(TAG_NEW_VIEW);
+                e.put_u64(1); // view
+                e.put_u32(n);
+            }),
+            (
+                "too many pre-prepares",
+                MAX_WIRE_NEW_VIEW_PRE_PREPARES,
+                &|e, n| {
+                    e.put_u8(TAG_NEW_VIEW);
+                    e.put_u64(1); // view
+                    e.put_u32(0); // voters
+                    e.put_u32(n);
+                },
+            ),
+            ("too many pages", MAX_WIRE_PAGES, &|e, n| {
+                state_response(e);
+                e.put_u32(1); // page size
+                e.put_u64(u64::from(n)); // total length: n one-byte pages
+                e.put_u32(n);
+            }),
+            ("executed set too large", MAX_WIRE_EXECUTED, &|e, n| {
+                manifest(e);
+                e.put_u32(n); // ranged section
+            }),
+            ("executed set too large", MAX_WIRE_EXECUTED, &|e, n| {
+                manifest(e);
+                e.put_u32(0); // ranged section
+                e.put_u32(n); // singleton section
+            }),
+            ("suffix too large", MAX_WIRE_SUFFIX, &|e, n| {
+                manifest(e);
+                e.put_u32(0); // ranged section
+                e.put_u32(0); // singleton section
+                e.put_u32(n);
+            }),
+            (
+                "too many response pages",
+                MAX_WIRE_PAGE_RESPONSE,
+                &|e, n| {
+                    e.put_u8(TAG_PAGE_RESPONSE);
+                    e.put_u64(64); // seq
+                    e.put_u32(0); // first
+                    e.put_u32(n);
+                },
+            ),
+        ];
+        for (what, cap, frame) in cases {
+            for (n, expect) in [(cap + 1, what), (cap, "truncated")] {
+                let mut e = Encoder::new();
+                frame(&mut e, n as u32);
+                let err = decode_msg(&e.finish()).unwrap_err();
+                assert!(err.to_string().contains(expect), "{what}, count {n}: {err}");
+            }
         }
     }
 

@@ -156,7 +156,7 @@ impl WaitSet {
     }
 
     /// Also wake on the reply (or abort fault) for `token`.
-    pub fn reply(mut self, token: CallToken) -> Self {
+    pub(crate) fn reply(mut self, token: CallToken) -> Self {
         self.replies.insert(token);
         self
     }
@@ -168,19 +168,19 @@ impl WaitSet {
     }
 
     /// Also wake on *any* reply.
-    pub fn any_reply(mut self) -> Self {
+    pub(crate) fn any_reply(mut self) -> Self {
         self.any_reply = true;
         self
     }
 
     /// Also wake on agreed-time answers.
-    pub fn times(mut self) -> Self {
+    pub(crate) fn times(mut self) -> Self {
         self.times = true;
         self
     }
 
     /// Whether `ev` matches this wait set. `Init` is always admitted.
-    pub fn admits(&self, ev: &WsEvent) -> bool {
+    pub(crate) fn admits(&self, ev: &WsEvent) -> bool {
         match ev {
             WsEvent::Init { .. } => true,
             WsEvent::Request { .. } => self.requests,

@@ -23,9 +23,9 @@ pub struct ServiceEntry {
     /// Service name.
     pub name: String,
     /// Endpoint URI callers use (defaults to `urn:svc:<name>`).
-    pub uri: String,
+    pub(crate) uri: String,
     /// Replica endpoints in index order.
-    pub endpoints: Vec<(String, u16)>,
+    pub(crate) endpoints: Vec<(String, u16)>,
 }
 
 impl ServiceEntry {
@@ -35,7 +35,8 @@ impl ServiceEntry {
     }
 
     /// Tolerated faults: `f = (n-1)/3`.
-    pub fn f(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn f(&self) -> u32 {
         (self.n().saturating_sub(1)) / 3
     }
 }
@@ -49,12 +50,13 @@ pub struct ReplicasConfig {
 
 impl ReplicasConfig {
     /// Finds a service by name.
-    pub fn service(&self, name: &str) -> Option<&ServiceEntry> {
+    #[cfg(test)]
+    pub(crate) fn service(&self, name: &str) -> Option<&ServiceEntry> {
         self.services.iter().find(|s| s.name == name)
     }
 
     /// Serializes back to `replicas.xml` form.
-    pub fn to_xml(&self) -> String {
+    pub(crate) fn to_xml(&self) -> String {
         let mut root = XmlNode::new("replicas");
         for s in &self.services {
             let mut node = XmlNode::new("service")

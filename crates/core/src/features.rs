@@ -26,7 +26,8 @@ impl Approach {
     ];
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Approach::PerpetualWs => "Perpetual-WS",
             Approach::Thema => "Thema",
@@ -42,7 +43,7 @@ pub struct FeatureRow {
     /// Property name as in Fig. 2.
     pub property: &'static str,
     /// Support per approach, in [`Approach::ALL`] order.
-    pub support: [bool; 4],
+    pub(crate) support: [bool; 4],
 }
 
 impl FeatureRow {

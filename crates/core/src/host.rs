@@ -215,26 +215,26 @@ impl ServiceCtx<'_> {
     /// Increments a deployment metric counter. Deterministic infrastructure
     /// telemetry (the transaction and resharding layers count protocol
     /// outcomes through this); services should not treat metrics as state.
-    pub fn incr_metric(&mut self, name: impl Into<String>) {
+    pub(crate) fn incr_metric(&mut self, name: impl Into<String>) {
         self.out.incr_metric(name);
     }
 
     /// Records a protocol-plane span phase (transaction / reshard spans).
     /// The hosting replica stamps it with sim-time and its group id; a
     /// no-op downstream when tracing is off. Purely observational.
-    pub fn obs_proto(&mut self, family: ProtoFamily, id: u64, phase: usize, count: u64) {
+    pub(crate) fn obs_proto(&mut self, family: ProtoFamily, id: u64, phase: usize, count: u64) {
         self.out.proto(family, id, phase, count);
     }
 
     /// Feeds one observation to the online protocol auditor (a no-op
     /// downstream when auditing is off). Purely observational.
-    pub fn obs_audit(&mut self, ev: AuditEvent) {
+    pub(crate) fn obs_audit(&mut self, ev: AuditEvent) {
         self.out.audit(ev);
     }
 
     /// Records a time-series gauge sample (e.g. the transaction lock-table
     /// size). A no-op downstream when tracing is off.
-    pub fn gauge(&mut self, name: impl Into<String>, value: f64) {
+    pub(crate) fn gauge(&mut self, name: impl Into<String>, value: f64) {
         self.out.gauge(name, value);
     }
 }

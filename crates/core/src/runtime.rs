@@ -880,11 +880,6 @@ impl System {
         &mut self.sim
     }
 
-    /// The deployment's URI map (routing assertions, epoch observation).
-    pub fn uris(&self) -> &Arc<UriMap> {
-        &self.uris
-    }
-
     /// Stands up the next provisioned spare shard of transactional service
     /// `name` **online**: flips the routing epoch (clients immediately route
     /// at the grown count; moved keys hit the new shard's admission gate or
@@ -1392,9 +1387,9 @@ pub(crate) struct ScriptedClient {
     /// redirects each has already followed (bounded at one).
     in_flight: HashMap<u64, (String, u8)>,
     /// Replies received, in completion order.
-    pub replies: Vec<MessageContext>,
+    pub(crate) replies: Vec<MessageContext>,
     /// Completion latencies, in completion order.
-    pub latencies: Vec<SimDuration>,
+    pub(crate) latencies: Vec<SimDuration>,
     first_send: Option<SimTime>,
     last_complete: Option<SimTime>,
     retry_timer: Option<pws_simnet::TimerId>,

@@ -148,7 +148,7 @@ pub enum TxnRecord {
 
 impl TxnRecord {
     /// Serializes the record with the shared length-prefixed codec.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         match self {
             TxnRecord::Prepare {
@@ -184,7 +184,7 @@ impl TxnRecord {
     /// # Errors
     ///
     /// Returns [`WireError`] for truncated, oversized, or trailing input.
-    pub fn decode(buf: &[u8]) -> Result<TxnRecord, WireError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<TxnRecord, WireError> {
         let mut d = Decoder::new(buf);
         let rec = match d.u8()? {
             TXN_PREPARE => {
@@ -213,7 +213,7 @@ impl TxnRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ReshardExport {
     /// The new (post-flip) active shard count.
-    pub new_count: u32,
+    pub(crate) new_count: u32,
 }
 
 impl ReshardExport {
@@ -242,18 +242,18 @@ impl ReshardExport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ReshardImport {
     /// The shard the entries were exported from.
-    pub from_shard: u32,
+    pub(crate) from_shard: u32,
     /// The shard count before the flip (entries must route to `from_shard`
     /// at this count — the range bound on the source side).
-    pub old_count: u32,
+    pub(crate) old_count: u32,
     /// The shard count after the flip (entries must route to the receiving
     /// shard at this count — the range bound on the destination side).
-    pub new_count: u32,
+    pub(crate) new_count: u32,
     /// How many source shards will send imports; the new shard holds
     /// client traffic until all of them have arrived.
-    pub sources: u32,
+    pub(crate) sources: u32,
     /// The migrated `(key, opaque state)` entries.
-    pub entries: Vec<(String, Vec<u8>)>,
+    pub(crate) entries: Vec<(String, Vec<u8>)>,
 }
 
 impl ReshardImport {
@@ -594,11 +594,6 @@ impl TxnShim {
     /// Number of keys currently locked by in-flight transactions.
     pub fn locked_keys(&self) -> usize {
         self.locks.len()
-    }
-
-    /// The outcome the coordinator durably recorded for `txn`, if any.
-    pub fn outcome(&self, txn: &str) -> Option<bool> {
-        self.decided.get(txn).copied()
     }
 
     fn participant_uri(&self, shard: u32) -> String {

@@ -10,19 +10,19 @@ use pws_simnet::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WsCostModel {
     /// Fixed cost to marshal an envelope.
-    pub marshal: SimDuration,
+    pub(crate) marshal: SimDuration,
     /// Additional marshal cost per KiB of envelope.
-    pub marshal_per_kb: SimDuration,
+    pub(crate) marshal_per_kb: SimDuration,
     /// Fixed cost to demarshal an envelope.
-    pub demarshal: SimDuration,
+    pub(crate) demarshal: SimDuration,
     /// Additional demarshal cost per KiB.
-    pub demarshal_per_kb: SimDuration,
+    pub(crate) demarshal_per_kb: SimDuration,
 }
 
 impl WsCostModel {
     /// Calibrated default: an order of magnitude below the crypto costs in
     /// [`pws_perpetual::CostModel::DEFAULT`], per the paper's observation.
-    pub const DEFAULT: WsCostModel = WsCostModel {
+    pub(crate) const DEFAULT: WsCostModel = WsCostModel {
         marshal: SimDuration::from_micros(3),
         marshal_per_kb: SimDuration::from_micros(2),
         demarshal: SimDuration::from_micros(4),

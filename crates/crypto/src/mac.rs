@@ -9,7 +9,8 @@ pub struct MacKey([u8; 32]);
 
 impl MacKey {
     /// Wraps raw key bytes.
-    pub const fn from_bytes(bytes: [u8; 32]) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_bytes(bytes: [u8; 32]) -> Self {
         MacKey(bytes)
     }
 

@@ -87,15 +87,15 @@ pub enum AuditEvent {
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Simulated time of the offending event, in microseconds.
-    pub at_us: u64,
+    pub(crate) at_us: u64,
     /// Group the event belonged to.
-    pub group: u32,
+    pub(crate) group: u32,
     /// Node that emitted the offending event.
-    pub node: u64,
+    pub(crate) node: u64,
     /// Which invariant broke (stable short name, e.g. `slot-divergence`).
-    pub invariant: &'static str,
+    pub(crate) invariant: &'static str,
     /// Human-readable specifics.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for Violation {

@@ -58,7 +58,7 @@ pub enum FlightKind {
 
 impl FlightKind {
     /// The event's dump/export name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FlightKind::ViewChangeStarted => "view-change-started",
             FlightKind::EnteredView => "entered-view",
@@ -104,13 +104,13 @@ pub struct FlightEvent {
     /// Sim-time of the event, microseconds.
     pub at_us: u64,
     /// The recording node.
-    pub node: u64,
+    pub(crate) node: u64,
     /// What happened.
     pub kind: FlightKind,
     /// First payload slot (kind-specific, see [`FlightKind`]).
-    pub a: u64,
+    pub(crate) a: u64,
     /// Second payload slot.
-    pub b: u64,
+    pub(crate) b: u64,
 }
 
 impl fmt::Display for FlightEvent {
@@ -146,7 +146,7 @@ pub struct FlightRing {
 
 impl FlightRing {
     /// An empty ring holding at most `cap` events (min 1).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         FlightRing {
             cap: cap.max(1),
             buf: VecDeque::new(),
@@ -155,7 +155,7 @@ impl FlightRing {
     }
 
     /// Appends an event, evicting the oldest if full.
-    pub fn push(&mut self, ev: FlightEvent) {
+    pub(crate) fn push(&mut self, ev: FlightEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
         }
@@ -169,13 +169,8 @@ impl FlightRing {
     }
 
     /// Number of events currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Capacity of the ring.
@@ -189,7 +184,7 @@ impl FlightRing {
     }
 
     /// Renders the ring as a human-readable timeline, oldest first.
-    pub fn dump(&self, out: &mut String) {
+    pub(crate) fn dump(&self, out: &mut String) {
         let dropped = self.total - self.buf.len() as u64;
         if dropped > 0 {
             out.push_str(&format!("  ... {dropped} earlier event(s) evicted\n"));

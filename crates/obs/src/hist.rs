@@ -128,7 +128,8 @@ impl Histogram {
     }
 
     /// Exact sum of recorded samples.
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 

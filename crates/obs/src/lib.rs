@@ -136,7 +136,7 @@ impl Phase {
 
     /// The phase's index in lifecycle order.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 

@@ -21,7 +21,7 @@
 //! opening phase and recorded under `obs.proto.<family>.<phase>_ms`.
 
 /// A protocol-span family. The discriminant doubles as the phase-table
-/// index, so keep [`ProtoFamily::ALL`] in discriminant order.
+/// index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum ProtoFamily {
@@ -85,7 +85,8 @@ const METRIC_KEYS: [&[&str]; PROTO_FAMILY_COUNT] = [
 
 impl ProtoFamily {
     /// Every family, in discriminant order.
-    pub const ALL: [ProtoFamily; PROTO_FAMILY_COUNT] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [ProtoFamily; PROTO_FAMILY_COUNT] = [
         ProtoFamily::Vc,
         ProtoFamily::Ckpt,
         ProtoFamily::Xfer,
@@ -94,7 +95,7 @@ impl ProtoFamily {
     ];
 
     /// The family's export name (`vc`, `ckpt`, `xfer`, `txn`, `reshard`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ProtoFamily::Vc => "vc",
             ProtoFamily::Ckpt => "ckpt",
@@ -105,7 +106,7 @@ impl ProtoFamily {
     }
 
     /// The family's phase names, in lifecycle order. Index 0 opens a span.
-    pub fn phases(self) -> &'static [&'static str] {
+    pub(crate) fn phases(self) -> &'static [&'static str] {
         PHASES[self as usize]
     }
 
@@ -116,7 +117,7 @@ impl ProtoFamily {
 
     /// The metrics-histogram key for the latency from the opening phase
     /// into `phase` (`None` for the opening phase itself).
-    pub fn metric_key(self, phase: usize) -> Option<&'static str> {
+    pub(crate) fn metric_key(self, phase: usize) -> Option<&'static str> {
         let keys = METRIC_KEYS[self as usize];
         match keys.get(phase) {
             Some(&"") | None => None,
@@ -149,7 +150,7 @@ pub struct ProtoKey {
 
 impl ProtoKey {
     /// The span's display name (`vc.5`, `ckpt.128`, …).
-    pub fn display(&self) -> String {
+    pub(crate) fn display(&self) -> String {
         format!("{}.{}", self.family.name(), self.id)
     }
 }
@@ -176,24 +177,19 @@ impl ProtoSpan {
         }
     }
 
-    /// The span's family.
-    pub fn family(&self) -> ProtoFamily {
-        self.family
-    }
-
     /// First-seen time of phase index `phase` in microseconds, if recorded.
-    pub fn first(&self, phase: usize) -> Option<u64> {
+    pub(crate) fn first(&self, phase: usize) -> Option<u64> {
         let t = *self.first_seen.get(phase)?;
         (t != UNSEEN).then_some(t)
     }
 
     /// The count payload recorded with phase `phase` (0 when absent).
-    pub fn count(&self, phase: usize) -> u64 {
+    pub(crate) fn count(&self, phase: usize) -> u64 {
         self.counts.get(phase).copied().unwrap_or(0)
     }
 
     /// Recorded phases in lifecycle order: `(name, first-seen µs, count)`.
-    pub fn phases(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
+    pub(crate) fn phases(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
         (0..self.family.phase_count()).filter_map(|i| {
             self.first(i)
                 .map(|t| (self.family.phases()[i], t, self.count(i)))
@@ -211,12 +207,12 @@ impl ProtoSpan {
     }
 
     /// Earliest recorded phase time (µs).
-    pub fn start_us(&self) -> Option<u64> {
+    pub(crate) fn start_us(&self) -> Option<u64> {
         self.phases().map(|(_, t, _)| t).min()
     }
 
     /// Latest recorded phase time (µs).
-    pub fn end_us(&self) -> Option<u64> {
+    pub(crate) fn end_us(&self) -> Option<u64> {
         self.phases().map(|(_, t, _)| t).max()
     }
 

@@ -60,12 +60,12 @@ impl Span {
     }
 
     /// Earliest recorded phase time (µs).
-    pub fn start_us(&self) -> Option<u64> {
+    pub(crate) fn start_us(&self) -> Option<u64> {
         self.phases().map(|(_, t)| t).min()
     }
 
     /// Latest recorded phase time (µs).
-    pub fn end_us(&self) -> Option<u64> {
+    pub(crate) fn end_us(&self) -> Option<u64> {
         self.phases().map(|(_, t)| t).max()
     }
 }
@@ -74,13 +74,13 @@ impl Span {
 #[derive(Debug, Clone, Copy)]
 pub struct SpanEvent {
     /// The span this sighting belongs to.
-    pub key: SpanKey,
+    pub(crate) key: SpanKey,
     /// The phase seen.
-    pub phase: Phase,
+    pub(crate) phase: Phase,
     /// Sim-time, microseconds.
-    pub at_us: u64,
+    pub(crate) at_us: u64,
     /// The node that saw it.
-    pub node: u64,
+    pub(crate) node: u64,
 }
 
 /// Latency deltas produced by a first-seen phase recording, for the
@@ -269,7 +269,8 @@ impl Recorder {
     }
 
     /// Looks up one span.
-    pub fn span(&self, key: &SpanKey) -> Option<&Span> {
+    #[cfg(test)]
+    pub(crate) fn span(&self, key: &SpanKey) -> Option<&Span> {
         self.open.get(key).or_else(|| self.closed.get(key))
     }
 

@@ -32,7 +32,6 @@ pub enum ClientEvent {
 /// The calling half of a Perpetual driver, for unreplicated endpoints.
 #[derive(Debug)]
 pub struct ClientCore {
-    group: GroupId,
     topology: Arc<Topology>,
     keys: KeyTable,
     cost: CostModel,
@@ -52,18 +51,12 @@ impl ClientCore {
     pub fn new(group: GroupId, topology: Arc<Topology>, master_seed: u64, cost: CostModel) -> Self {
         assert_eq!(topology.n(group), 1, "client groups have exactly 1 member");
         ClientCore {
-            group,
             calls: Calls::new(group, 0, topology.clone()),
             topology,
             keys: KeyTable::new(master_seed),
             cost,
             next_call: 0,
         }
-    }
-
-    /// The client's group id.
-    pub fn group(&self) -> GroupId {
-        self.group
     }
 
     /// Number of calls still awaiting replies.
@@ -282,7 +275,6 @@ mod tests {
     #[test]
     fn bookkeeping() {
         let mut c = ClientCore::new(CLIENT, topo(), SEED, CostModel::FREE);
-        assert_eq!(c.group(), CLIENT);
         assert_eq!(c.outstanding(), 0);
         c.abandon(CallId(0)); // nothing issued yet: a no-op
         let mut sim = started(vec![false, true]);

@@ -15,34 +15,34 @@ pub struct CostModel {
     /// Cost to MAC-authenticate and encrypt an outgoing message.
     pub send_crypto: SimDuration,
     /// Additional per-byte cost on send (stream cipher + framing).
-    pub send_per_kb: SimDuration,
+    pub(crate) send_per_kb: SimDuration,
     /// Cost to verify and decrypt an incoming message.
     pub recv_crypto: SimDuration,
     /// Additional per-byte cost on receive.
-    pub recv_per_kb: SimDuration,
+    pub(crate) recv_per_kb: SimDuration,
     /// Cost to compute one extra MAC (authenticator entries, bundle shares).
     pub mac: SimDuration,
     /// Fixed protocol bookkeeping per delivered batch (authenticator
     /// bookkeeping, ordering-table updates). Charged once per agreement
     /// slot, however many requests the slot's batch carries.
-    pub event_overhead: SimDuration,
+    pub(crate) event_overhead: SimDuration,
     /// Marginal bookkeeping per additional request in a batch beyond the
     /// first (demarshal + dispatch; the authenticator work is amortized
     /// across the whole batch, which is the point of batching).
-    pub batch_item: SimDuration,
+    pub(crate) batch_item: SimDuration,
     /// Fixed cost to serialize (or install) one application snapshot at a
     /// checkpoint boundary.
-    pub snapshot_fixed: SimDuration,
+    pub(crate) snapshot_fixed: SimDuration,
     /// Additional per-kilobyte cost of snapshot serialization/installation.
-    pub snapshot_per_kb: SimDuration,
+    pub(crate) snapshot_per_kb: SimDuration,
     /// Cost to hash one snapshot page (incremental checkpoints charge this
     /// only for dirty pages; state transfer charges it per verified page).
-    pub page_hash: SimDuration,
+    pub(crate) page_hash: SimDuration,
     /// Cost of answering one read-only request on the fast path (scratch
     /// execution against committed state, no agreement slot). Roughly the
     /// per-request share of `batch_item` — what a read pays instead of the
     /// full ordered `event_overhead` + three protocol rounds.
-    pub ro_serve: SimDuration,
+    pub(crate) ro_serve: SimDuration,
 }
 
 impl CostModel {
@@ -99,7 +99,7 @@ impl CostModel {
     /// what an incremental checkpoint pays instead of `snapshot_cost` over
     /// the whole state: only dirty pages are re-hashed, so the charge stops
     /// scaling with total state size.
-    pub fn page_cost(&self, pages: u64) -> SimDuration {
+    pub(crate) fn page_cost(&self, pages: u64) -> SimDuration {
         self.page_hash.saturating_mul(pages)
     }
 

@@ -8,7 +8,7 @@
 
 use crate::group::GroupId;
 use bytes::Bytes;
-use pws_clbft::wire::{Decoder, Encoder, WireError};
+use pws_clbft::wire::{counted, Decoder, Encoder, WireError};
 use pws_clbft::{Request, RequestId};
 use pws_crypto::auth::{Authenticator, BundleShare};
 use pws_crypto::keys::Principal;
@@ -38,21 +38,17 @@ pub(crate) fn put_share(e: &mut Encoder, s: &BundleShare) {
 pub(crate) fn get_share(d: &mut Decoder<'_>) -> Result<BundleShare, WireError> {
     let from = get_principal(d)?;
     let reply_digest = d.digest()?;
-    let n = d.u32()? as usize;
-    if n > 4096 {
-        return Err(decode_err());
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let p = get_principal(d)?;
-        let mac_bytes = d.bytes()?;
-        if mac_bytes.len() != 32 {
-            return Err(decode_err());
-        }
-        let mut raw = [0u8; 32];
-        raw.copy_from_slice(&mac_bytes);
-        entries.push((p, Mac::from_bytes(raw)));
-    }
+    let entries = counted(
+        d,
+        MAX_WIRE_SHARES,
+        || WireError::malformed("too many MAC entries"),
+        |d| {
+            let p = get_principal(d)?;
+            let raw = <[u8; 32]>::try_from(&d.bytes()?[..])
+                .map_err(|_| WireError::malformed("bad MAC length"))?;
+            Ok((p, Mac::from_bytes(raw)))
+        },
+    )?;
     Ok(BundleShare {
         from,
         reply_digest,
@@ -258,14 +254,7 @@ impl Event {
                 let call_no = d.u64()?;
                 let digest = d.digest()?;
                 let payload = d.bytes()?;
-                let n = d.u32()? as usize;
-                if n > 4096 {
-                    return Err(decode_err());
-                }
-                let mut shares = Vec::with_capacity(n);
-                for _ in 0..n {
-                    shares.push(get_share(&mut d)?);
-                }
+                let shares = counted(&mut d, MAX_WIRE_SHARES, shares_err, get_share)?;
                 Event::Result {
                     call_no,
                     digest,
@@ -278,9 +267,7 @@ impl Event {
                 token: d.u64()?,
                 millis: d.u64()?,
             },
-            _ => {
-                return Err(decode_err());
-            }
+            _ => return Err(WireError::malformed("unknown event tag")),
         };
         d.finish()?;
         Ok(ev)
@@ -331,9 +318,13 @@ impl Event {
     }
 }
 
-fn decode_err() -> WireError {
-    // Round-trip through the public decoder to produce a WireError value.
-    Event::decode(&[]).expect_err("empty input always fails")
+/// Hard cap on the shares of one reply bundle and on the MAC entries of
+/// one share: far above any group size, low enough that a hostile count
+/// prefix cannot drive a huge decode.
+pub(crate) const MAX_WIRE_SHARES: usize = 4096;
+
+pub(crate) fn shares_err() -> WireError {
+    WireError::malformed("too many shares")
 }
 
 #[cfg(test)]
@@ -433,6 +424,41 @@ mod tests {
             shares: vec![],
         };
         assert_ne!(a.request_id(), b.request_id());
+    }
+
+    /// Both count prefixes of an `Event::Result`, the shares and the MAC
+    /// entries of one share: one past the cap fails naming the field,
+    /// exactly the cap with no elements behind it fails as `truncated`.
+    #[test]
+    fn every_count_prefix_is_capped() {
+        let result = |e: &mut Encoder| {
+            e.put_u8(EV_RESULT);
+            e.put_u64(9); // call number
+            e.put_digest(&sha256::sha256(b"r"));
+            e.put_bytes(b"r");
+        };
+        type Frame<'a> = &'a dyn Fn(&mut Encoder, u32);
+        let cases: [(&str, Frame<'_>); 2] = [
+            ("too many shares", &|e, n| {
+                result(e);
+                e.put_u32(n);
+            }),
+            ("too many MAC entries", &|e, n| {
+                result(e);
+                e.put_u32(1); // one share
+                put_principal(e, &Principal::new(1, 0));
+                e.put_digest(&sha256::sha256(b"r"));
+                e.put_u32(n);
+            }),
+        ];
+        for (what, frame) in cases {
+            for (n, expect) in [(MAX_WIRE_SHARES + 1, what), (MAX_WIRE_SHARES, "truncated")] {
+                let mut e = Encoder::new();
+                frame(&mut e, n as u32);
+                let err = Event::decode(&e.finish()).unwrap_err();
+                assert!(err.to_string().contains(expect), "{what}, count {n}: {err}");
+            }
+        }
     }
 
     #[test]

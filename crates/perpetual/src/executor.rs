@@ -213,7 +213,8 @@ impl AppOutput {
     /// the unordered fast path (2f+1 matching replies against committed
     /// state, no agreement slot). Semantics otherwise match [`Self::call`];
     /// the reply or abort still arrives as an [`AppEvent`].
-    pub fn call_read_only(
+    #[cfg(test)]
+    pub(crate) fn call_read_only(
         &mut self,
         target: GroupId,
         payload: Bytes,

@@ -66,12 +66,12 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the group is unknown.
-    pub fn n(&self, group: GroupId) -> u32 {
+    pub(crate) fn n(&self, group: GroupId) -> u32 {
         self.info(group).nodes.len() as u32
     }
 
     /// Fault tolerance of `group`: `f = (n-1)/3`.
-    pub fn f(&self, group: GroupId) -> u32 {
+    pub(crate) fn f(&self, group: GroupId) -> u32 {
         (self.n(group) - 1) / 3
     }
 
@@ -85,24 +85,24 @@ impl Topology {
     }
 
     /// All nodes of `group`, in replica order.
-    pub fn nodes(&self, group: GroupId) -> &[NodeId] {
+    pub(crate) fn nodes(&self, group: GroupId) -> &[NodeId] {
         &self.info(group).nodes
     }
 
     /// The crypto principal of replica `idx` of `group`.
-    pub fn principal(&self, group: GroupId, idx: u32) -> Principal {
+    pub(crate) fn principal(&self, group: GroupId, idx: u32) -> Principal {
         Principal::new(group.0, idx)
     }
 
     /// Principals of every replica of `group`.
-    pub fn principals(&self, group: GroupId) -> Vec<Principal> {
+    pub(crate) fn principals(&self, group: GroupId) -> Vec<Principal> {
         (0..self.n(group))
             .map(|i| Principal::new(group.0, i))
             .collect()
     }
 
     /// Whether `group` is registered.
-    pub fn contains(&self, group: GroupId) -> bool {
+    pub(crate) fn contains(&self, group: GroupId) -> bool {
         self.groups.contains_key(&group)
     }
 

@@ -1,9 +1,9 @@
 //! Inter-node messages of the Perpetual protocol and their wire codec.
 
-use crate::event::{get_share, put_share, Event};
+use crate::event::{get_share, put_share, shares_err, Event, MAX_WIRE_SHARES};
 use crate::group::GroupId;
 use bytes::Bytes;
-use pws_clbft::wire::{Decoder, Encoder, WireError};
+use pws_clbft::wire::{counted, Decoder, Encoder, WireError};
 use pws_crypto::auth::BundleShare;
 use pws_crypto::sha256::Digest32;
 use std::collections::{BTreeSet, HashMap};
@@ -131,10 +131,6 @@ const TAG_REPLY_BUNDLE: u8 = 4;
 const TAG_READ_REQUEST: u8 = 5;
 const TAG_READ_REPLY: u8 = 6;
 
-fn wire_err() -> WireError {
-    Event::decode(&[]).expect_err("empty input always fails")
-}
-
 /// Encodes a Perpetual message.
 pub fn encode_pmsg(msg: &PMsg) -> Bytes {
     let mut e = Encoder::new();
@@ -221,14 +217,7 @@ pub fn decode_pmsg(buf: &[u8]) -> Result<PMsg, WireError> {
         TAG_REPLY_BUNDLE => {
             let req_no = d.u64()?;
             let payload = d.bytes()?;
-            let n = d.u32()? as usize;
-            if n > 4096 {
-                return Err(wire_err());
-            }
-            let mut shares = Vec::with_capacity(n);
-            for _ in 0..n {
-                shares.push(get_share(&mut d)?);
-            }
+            let shares = counted(&mut d, MAX_WIRE_SHARES, shares_err, get_share)?;
             PMsg::ReplyBundle {
                 req_no,
                 payload,
@@ -246,7 +235,7 @@ pub fn decode_pmsg(buf: &[u8]) -> Result<PMsg, WireError> {
             payload: d.bytes()?,
             share: get_share(&mut d)?,
         },
-        _ => return Err(wire_err()),
+        _ => return Err(WireError::malformed("unknown message tag")),
     };
     d.finish()?;
     Ok(msg)
@@ -332,6 +321,41 @@ mod tests {
         };
         assert!(share.verify(&mut keys, &request_tag(GroupId(1), 7), Principal::new(1, 3)));
         assert!(!share.verify(&mut keys, &request_tag(GroupId(1), 8), Principal::new(1, 3)));
+    }
+
+    /// Both count prefixes a `PMsg` carries itself, the shares of a reply
+    /// bundle and the MAC entries of a reply share: one past the cap fails
+    /// naming the field, exactly the cap with no elements behind it fails
+    /// as `truncated`.
+    #[test]
+    fn every_count_prefix_is_capped() {
+        type Frame<'a> = &'a dyn Fn(&mut Encoder, u32);
+        let cases: [(&str, Frame<'_>); 2] = [
+            ("too many shares", &|e, n| {
+                e.put_u8(TAG_REPLY_BUNDLE);
+                e.put_u64(7); // req_no
+                e.put_bytes(b"reply");
+                e.put_u32(n);
+            }),
+            ("too many MAC entries", &|e, n| {
+                e.put_u8(TAG_REPLY_SHARE);
+                e.put_u32(1); // caller
+                e.put_u64(7); // req_no
+                e.put_bytes(b"reply");
+                e.put_u32(1); // share: from group
+                e.put_u32(0); // share: from replica
+                e.put_digest(&reply_digest(b"reply"));
+                e.put_u32(n);
+            }),
+        ];
+        for (what, frame) in cases {
+            for (n, expect) in [(MAX_WIRE_SHARES + 1, what), (MAX_WIRE_SHARES, "truncated")] {
+                let mut e = Encoder::new();
+                frame(&mut e, n as u32);
+                let err = decode_pmsg(&e.finish()).unwrap_err();
+                assert!(err.to_string().contains(expect), "{what}, count {n}: {err}");
+            }
+        }
     }
 
     #[test]

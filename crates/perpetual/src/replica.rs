@@ -122,13 +122,13 @@ fn reset_timer(
 /// Static configuration of one Perpetual replica.
 pub struct ReplicaConfig {
     /// This replica's group.
-    pub group: GroupId,
+    pub(crate) group: GroupId,
     /// This replica's index within the group.
-    pub index: u32,
+    pub(crate) index: u32,
     /// The deployment topology.
-    pub topology: Arc<Topology>,
+    pub(crate) topology: Arc<Topology>,
     /// Deployment-wide master seed (keys, deterministic app seeds).
-    pub master_seed: u64,
+    pub(crate) master_seed: u64,
     /// CPU cost model.
     pub cost: CostModel,
     /// Maximum requests the voter's primary seals into one agreement batch
@@ -623,7 +623,7 @@ impl PerpetualReplica {
         let snapshot = self.build_snapshot();
         ctx.metrics().incr("clbft.ckpt.taken");
         ctx.metrics()
-            .sample("clbft.ckpt.snapshot_bytes", snapshot.len() as f64);
+            .record_hist("clbft.ckpt.snapshot_bytes", snapshot.len() as f64);
         // Fixed serialization bookkeeping only: the digest work is charged
         // per *dirty* page by `drain_page_metrics` after the voter's
         // incremental re-hash, so checkpoint CPU stops scaling with total
@@ -1338,7 +1338,8 @@ impl PerpetualReplica {
                 }
                 ctx.metrics().incr("perpetual.calls_completed");
                 let now_s = ctx.now().as_secs_f64();
-                ctx.metrics().sample("perpetual.completion_time_s", now_s);
+                ctx.metrics()
+                    .record_hist("perpetual.completion_time_s", now_s);
                 self.deliver(
                     AppEvent::Reply {
                         call: CallId(call_no),

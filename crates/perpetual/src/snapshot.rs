@@ -16,7 +16,7 @@
 //! from retransmissions and must not perturb the digest.
 
 use bytes::Bytes;
-pub use pws_clbft::wire::{Decoder, Encoder, WireError};
+pub use pws_clbft::wire::{counted, Decoder, Encoder, WireError};
 use pws_clbft::ExecutedSet;
 
 /// Upper bound on any one collection in a snapshot, mirroring the wire
@@ -27,51 +27,51 @@ const MAX_SNAPSHOT_ITEMS: usize = 1 << 20;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CallSnap {
     /// The call number.
-    pub call_no: u64,
+    pub(crate) call_no: u64,
     /// The target group (raw id).
-    pub target: u32,
+    pub(crate) target: u32,
     /// The dense per-target dedup sequence assigned to the call.
-    pub target_seq: u64,
+    pub(crate) target_seq: u64,
     /// Whether the call has resolved (reply or abort delivered).
-    pub done: bool,
+    pub(crate) done: bool,
     /// Whether the call travels the read-only fast path (no `target_seq`
     /// consumed; retransmits re-broadcast the read instead of an ordered
     /// request).
-    pub read_only: bool,
+    pub(crate) read_only: bool,
     /// The original request payload, kept for retransmission.
-    pub payload: Bytes,
+    pub(crate) payload: Bytes,
 }
 
 /// The durable driver state captured at a checkpoint boundary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct DriverSnapshot {
     /// Next outcall number to assign.
-    pub next_call: u64,
+    pub(crate) next_call: u64,
     /// Next time-query token to assign.
-    pub next_token: u64,
+    pub(crate) next_token: u64,
     /// Next per-target dedup sequence to assign, `(target group, next)`,
     /// sorted.
-    pub next_target_seq: Vec<(u32, u64)>,
+    pub(crate) next_target_seq: Vec<(u32, u64)>,
     /// Outcall table, sorted by call number.
-    pub calls: Vec<CallSnap>,
+    pub(crate) calls: Vec<CallSnap>,
     /// Delivered external requests, compacted per calling group
     /// (origin = caller group id, counter = the caller's dense per-target
     /// `target_seq`): O(callers + reorder residue) bytes instead of 12
     /// per delivered request, sharded targets included.
-    pub delivered: ExecutedSet,
+    pub(crate) delivered: ExecutedSet,
     /// Reply routes `(caller group, req_no, responder)`, sorted by key.
     /// Bounded per caller like `replies_sent`.
-    pub reply_routes: Vec<(u32, u64, u32)>,
+    pub(crate) reply_routes: Vec<(u32, u64, u32)>,
     /// Produced replies `(caller group, req_no, payload)`, sorted by key.
     /// Bounded: the driver retains only the newest replies per caller
     /// (`ReplicaConfig::reply_retention`, default
     /// `DEFAULT_REPLY_RETENTION`), so this section no longer grows with
     /// request history.
-    pub replies_sent: Vec<(u32, u64, Bytes)>,
+    pub(crate) replies_sent: Vec<(u32, u64, Bytes)>,
     /// Resolved time-vote tokens, sorted.
-    pub resolved_tokens: Vec<u64>,
+    pub(crate) resolved_tokens: Vec<u64>,
     /// The opaque executor (application) snapshot.
-    pub executor: Bytes,
+    pub(crate) executor: Bytes,
 }
 
 impl DriverSnapshot {
@@ -173,27 +173,6 @@ impl DriverSnapshot {
             executor,
         })
     }
-}
-
-/// Reads a `u32`-count-prefixed sequence: counts past `cap` are rejected
-/// with `err` before anything is allocated, then `item` decodes each
-/// element. Shared by every snapshot-layer codec (driver and host) so the
-/// cap-then-read discipline lives in one place.
-pub fn counted<T>(
-    d: &mut Decoder<'_>,
-    cap: usize,
-    err: fn() -> WireError,
-    mut item: impl FnMut(&mut Decoder<'_>) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    let n = d.u32()? as usize;
-    if n > cap {
-        return Err(err());
-    }
-    let mut out = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        out.push(item(d)?);
-    }
-    Ok(out)
 }
 
 fn snapshot_err() -> WireError {

@@ -16,13 +16,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 
-impl TimerId {
-    /// The raw timer number (unique within a simulation).
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Debug for TimerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "timer#{}", self.0)
@@ -86,11 +79,6 @@ impl<'a> Context<'a> {
     /// The shared metrics registry.
     pub fn metrics(&mut self) -> &mut Metrics {
         &mut self.state.metrics
-    }
-
-    /// Requests the simulation to stop after this handler returns.
-    pub fn stop(&mut self) {
-        self.state.stop = true;
     }
 
     /// The simulation's request-lifecycle tracing level. Protocol layers
@@ -190,7 +178,7 @@ impl<'a> Context<'a> {
     }
 
     /// Records a time-series gauge sample under `name`, stamped with the
-    /// current sim-time (see [`Metrics::gauge`]).
+    /// current sim-time; [`Metrics::gauges`] reads the rings back.
     pub fn gauge(&mut self, name: &str, value: f64) {
         let t_us = (self.state.now + self.elapsed).as_micros();
         self.state.metrics.gauge(name, t_us, value);

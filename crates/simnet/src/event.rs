@@ -15,10 +15,10 @@ pub(crate) enum EventKind {
 
 #[derive(Debug)]
 pub(crate) struct Event {
-    pub at: SimTime,
-    pub seq: u64,
-    pub to: NodeId,
-    pub kind: EventKind,
+    pub(crate) at: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) to: NodeId,
+    pub(crate) kind: EventKind,
 }
 
 impl PartialEq for Event {
@@ -178,6 +178,7 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::rng::DetRng;
+    use rand::RngCore;
     use std::collections::HashSet;
 
     fn ev(q: &mut EventQueue, at: u64, to: u32) {

@@ -16,8 +16,8 @@
 //! * A **network model** ([`NetConfig`]): per-link base latency, per-byte
 //!   cost, bounded deterministic jitter, message drop probability,
 //!   partitions, and node crashes for fault-injection tests.
-//! * **Metrics** ([`metrics::Metrics`]): counters and sample histograms used
-//!   by the benchmark harnesses.
+//! * **Metrics** ([`metrics::Metrics`]): counters, histograms and gauge
+//!   rings used by the benchmark harnesses.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for how the
 //! simulator slots into the full Perpetual-WS stack.
@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use pws_simnet::{Simulation, Node, Context, NodeId, SimDuration};
+//! use pws_simnet::{Context, Node, NodeId, RunOutcome, Simulation};
 //! use bytes::Bytes;
 //!
 //! struct Echo;
@@ -44,16 +44,15 @@
 //!     fn on_start(&mut self, ctx: &mut Context<'_>) {
 //!         ctx.send(self.peer, Bytes::from_static(b"ping"));
 //!     }
-//!     fn on_message(&mut self, _from: NodeId, _msg: Bytes, ctx: &mut Context<'_>) {
+//!     fn on_message(&mut self, _from: NodeId, _msg: Bytes, _ctx: &mut Context<'_>) {
 //!         self.got += 1;
-//!         ctx.stop();
 //!     }
 //! }
 //!
 //! let mut sim = Simulation::new(7);
 //! let echo = sim.add_node(Box::new(Echo));
 //! sim.add_node(Box::new(Pinger { peer: echo, got: 0 }));
-//! sim.run();
+//! assert_eq!(sim.run(), RunOutcome::Quiescent); // one ping, one echo
 //! assert!(sim.now().as_micros() > 0);
 //! ```
 

@@ -3,18 +3,14 @@
 use pws_obs::Histogram;
 use std::collections::{BTreeMap, VecDeque};
 
-/// A registry of named counters, raw sample series, and fixed-bucket
-/// histograms.
+/// A registry of named counters, fixed-bucket histograms and gauge rings.
 ///
-/// Raw samples ([`Metrics::sample`]) keep every value and are right for
-/// short series a test wants to inspect exactly. Histograms
-/// ([`Metrics::record_hist`]) keep O(1) memory per series with a
-/// deterministic log-bucket layout and are right for hot-path latency
-/// series that may see millions of values.
+/// Histograms ([`Metrics::record_hist`]) keep O(1) memory per series with
+/// a deterministic log-bucket layout, so a series may see millions of
+/// values; count, mean, min and max stay exact.
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
-    samples: BTreeMap<String, Vec<f64>>,
     hists: BTreeMap<String, Histogram>,
     gauges: BTreeMap<String, GaugeRing>,
 }
@@ -41,7 +37,7 @@ pub struct GaugeRing {
 
 impl GaugeRing {
     /// An empty ring holding at most `cap` samples (min 1).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         GaugeRing {
             cap: cap.max(1),
             samples: VecDeque::new(),
@@ -50,7 +46,7 @@ impl GaugeRing {
     }
 
     /// Appends a sample, evicting the oldest when full.
-    pub fn push(&mut self, t_us: u64, value: f64) {
+    pub(crate) fn push(&mut self, t_us: u64, value: f64) {
         if self.samples.len() == self.cap {
             self.samples.pop_front();
         }
@@ -59,17 +55,14 @@ impl GaugeRing {
     }
 
     /// Samples currently retained.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
-    /// Whether the ring holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.cap
     }
 
@@ -84,7 +77,8 @@ impl GaugeRing {
     }
 
     /// The most recent sample, if any.
-    pub fn last(&self) -> Option<(u64, f64)> {
+    #[cfg(test)]
+    pub(crate) fn last(&self) -> Option<(u64, f64)> {
         self.samples.back().copied()
     }
 
@@ -102,11 +96,11 @@ impl GaugeRing {
 #[derive(Debug, Clone)]
 pub struct BatchKeys {
     /// `<prefix>.batches` counter key.
-    pub batches: String,
+    pub(crate) batches: String,
     /// `<prefix>.requests` counter key.
-    pub requests: String,
+    pub(crate) requests: String,
     /// `<prefix>.occupancy` histogram key.
-    pub occupancy: String,
+    pub(crate) occupancy: String,
 }
 
 impl BatchKeys {
@@ -141,11 +135,6 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a raw sample under `name`.
-    pub fn sample(&mut self, name: &str, v: f64) {
-        self.samples.entry(name.to_owned()).or_default().push(v);
-    }
-
     /// Records `v` into the histogram `name`, creating it if absent.
     pub fn record_hist(&mut self, name: &str, v: f64) {
         self.hists.entry(name.to_owned()).or_default().record(v);
@@ -156,25 +145,15 @@ impl Metrics {
         self.hists.get(name)
     }
 
-    /// Summary statistics of the series recorded under `name`: raw samples
-    /// if any exist, otherwise a histogram-backed summary (exact count /
-    /// mean / min / max; bucket-approximate percentiles).
+    /// Summary statistics of the histogram recorded under `name` (exact
+    /// count / mean / min / max; bucket-approximate percentiles).
     pub fn summary(&self, name: &str) -> Option<Summary> {
-        if let Some(xs) = self.samples.get(name) {
-            return Summary::of(xs);
-        }
         self.hists.get(name).and_then(Summary::of_histogram)
     }
 
     /// Iterates over `(name, value)` for all counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over `(name, values)` for all raw sample series, sorted by
-    /// name.
-    pub fn samples(&self) -> impl Iterator<Item = (&str, &[f64])> {
-        self.samples.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 
     /// Iterates over `(name, histogram)` for all histograms, sorted by name.
@@ -184,7 +163,7 @@ impl Metrics {
 
     /// Records a gauge sample `(t_us, value)` into the ring `name`,
     /// creating it at `DEFAULT_GAUGE_CAPACITY` samples if absent.
-    pub fn gauge(&mut self, name: &str, t_us: u64, value: f64) {
+    pub(crate) fn gauge(&mut self, name: &str, t_us: u64, value: f64) {
         self.gauges
             .entry(name.to_owned())
             .or_insert_with(|| GaugeRing::new(DEFAULT_GAUGE_CAPACITY))
@@ -196,12 +175,11 @@ impl Metrics {
         self.gauges.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Clears every counter, sample, histogram, and gauge ring (used
+    /// Clears every counter, histogram, and gauge ring (used
     /// between benchmark phases so a warm-up does not pollute
     /// measurements).
     pub fn reset(&mut self) {
         self.counters.clear();
-        self.samples.clear();
         self.hists.clear();
         self.gauges.clear();
     }
@@ -251,7 +229,7 @@ pub struct Summary {
     /// 95th percentile.
     pub p95: f64,
     /// 99th percentile.
-    pub p99: f64,
+    pub(crate) p99: f64,
 }
 
 impl Summary {
@@ -307,8 +285,7 @@ mod tests {
         }
 
         fn sample_count(&self, name: &str) -> usize {
-            self.samples.get(name).map_or(0, Vec::len)
-                + self.hists.get(name).map_or(0, |h| h.count() as usize)
+            self.hists.get(name).map_or(0, |h| h.count() as usize)
         }
     }
 
@@ -363,12 +340,13 @@ mod tests {
     fn reset_clears_everything() {
         let mut m = Metrics::new();
         m.incr("a");
-        m.sample("b", 1.0);
         m.record_hist("c", 1.0);
+        m.gauge("d", 0, 1.0);
         m.reset();
         assert_eq!(m.counter("a"), 0);
-        assert_eq!(m.sample_count("b"), 0);
+        assert_eq!(m.sample_count("c"), 0);
         assert!(m.histogram("c").is_none());
+        assert!(m.gauges().next().is_none());
     }
 
     #[test]
@@ -388,7 +366,6 @@ mod tests {
         assert_eq!(m.sample_count("lat"), 100);
         let names: Vec<&str> = m.histograms().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["lat"]);
-        assert!(m.samples().next().is_none());
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl NetConfig {
     }
 
     /// Severs the directed pair `(from, to)` (messages are dropped).
-    pub fn partition(&mut self, from: NodeId, to: NodeId) {
+    pub(crate) fn partition(&mut self, from: NodeId, to: NodeId) {
         self.partitioned.insert((from, to));
     }
 
@@ -115,7 +115,8 @@ impl NetConfig {
     }
 
     /// Heals the directed pair `(from, to)`.
-    pub fn heal(&mut self, from: NodeId, to: NodeId) {
+    #[cfg(test)]
+    pub(crate) fn heal(&mut self, from: NodeId, to: NodeId) {
         self.partitioned.remove(&(from, to));
     }
 

@@ -47,11 +47,6 @@ impl DetRng {
         }
     }
 
-    /// A uniformly random `u64`.
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
     /// A uniformly random value in `[0, bound)`; returns 0 when `bound == 0`.
     pub fn below(&mut self, bound: u64) -> u64 {
         if bound == 0 {
@@ -92,6 +87,7 @@ impl RngCore for DetRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn same_seed_same_stream() {

@@ -18,8 +18,6 @@ use std::collections::HashSet;
 pub enum RunOutcome {
     /// The event queue drained completely.
     Quiescent,
-    /// A handler called [`Context::stop`].
-    Stopped,
     /// The deadline passed (only from [`Simulation::run_until`] /
     /// [`Simulation::run_for`]).
     DeadlineReached,
@@ -37,23 +35,22 @@ pub enum RunOutcome {
 
 /// Mutable simulation state shared with running handlers via [`Context`].
 pub(crate) struct SimState {
-    pub now: SimTime,
-    pub queue: EventQueue,
-    pub net: NetConfig,
+    pub(crate) now: SimTime,
+    pub(crate) queue: EventQueue,
+    pub(crate) net: NetConfig,
     node_rngs: Vec<DetRng>,
     net_rng: DetRng,
-    pub metrics: Metrics,
+    pub(crate) metrics: Metrics,
     next_timer: u64,
     cancelled: HashSet<u64>,
-    pub stop: bool,
     master_seed: u64,
-    pub trace: TraceDigest,
+    pub(crate) trace: TraceDigest,
     /// Observability side channel (spans + flight recorder). Never consulted
     /// by the scheduler: recording cannot perturb the trace digest.
-    pub obs: Recorder,
+    pub(crate) obs: Recorder,
     /// Opt-in online protocol invariant auditor — like the recorder, a
     /// pure consumer of the event stream.
-    pub audit: Option<Auditor>,
+    pub(crate) audit: Option<Auditor>,
 }
 
 impl SimState {
@@ -136,7 +133,6 @@ impl Simulation {
                 metrics: Metrics::new(),
                 next_timer: 0,
                 cancelled: HashSet::new(),
-                stop: false,
                 master_seed,
                 trace: TraceDigest::new(),
                 obs: Recorder::new(),
@@ -270,7 +266,7 @@ impl Simulation {
         self.state.send_message(from, to, msg, now);
     }
 
-    /// Runs until the queue is empty or a handler stops the simulation.
+    /// Runs until the queue is empty.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
@@ -281,16 +277,12 @@ impl Simulation {
         self.run_until(deadline)
     }
 
-    /// Runs until `deadline` (inclusive), the queue drains, or a handler
-    /// stops the simulation. On deadline return, `now()` equals `deadline`.
+    /// Runs until `deadline` (inclusive) or the queue drains. On deadline
+    /// return, `now()` equals `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         loop {
             if let Some((node, _)) = self.panicked {
                 return RunOutcome::NodePanicked { node };
-            }
-            if self.state.stop {
-                self.state.stop = false;
-                return RunOutcome::Stopped;
             }
             // Serial-server CPU model: an event for a node still busy is
             // deferred to the instant it frees up. Messages to
@@ -527,23 +519,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_micros(1500));
         let out = sim.run();
         assert_eq!(out, RunOutcome::Quiescent);
-    }
-
-    #[test]
-    fn stop_halts_run() {
-        struct Stopper;
-        impl Node for Stopper {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_secs(1));
-                ctx.stop();
-            }
-            fn on_message(&mut self, _: NodeId, _: Bytes, _: &mut Context<'_>) {}
-        }
-        let mut sim = Simulation::new(1);
-        sim.add_node(Box::new(Stopper));
-        assert_eq!(sim.run(), RunOutcome::Stopped);
-        // Can resume afterwards.
-        assert_eq!(sim.run(), RunOutcome::Quiescent);
     }
 
     #[test]

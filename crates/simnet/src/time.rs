@@ -15,7 +15,7 @@ impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
     /// The far future; used as an "infinite" deadline sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from microseconds since simulation start.
     pub const fn from_micros(us: u64) -> Self {

@@ -26,7 +26,7 @@ impl Default for TraceDigest {
 
 impl TraceDigest {
     /// A fresh digest.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TraceDigest::default()
     }
 

@@ -24,7 +24,7 @@ pub struct Addressing {
 
 impl Addressing {
     /// Extracts addressing properties from an envelope's headers.
-    pub fn from_envelope(env: &Envelope) -> Addressing {
+    pub(crate) fn from_envelope(env: &Envelope) -> Addressing {
         let text = |local: &str| env.header(local).map(|h| h.text.clone());
         let reply_to = env.header("ReplyTo").map(|h| {
             h.find("Address")

@@ -41,7 +41,7 @@ impl Default for Envelope {
 
 impl Envelope {
     /// An empty envelope with an empty body payload.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Envelope {
             header: Vec::new(),
             body: XmlNode::new("Payload"),
@@ -62,12 +62,13 @@ impl Envelope {
     }
 
     /// The header blocks.
-    pub fn headers(&self) -> &[XmlNode] {
+    #[cfg(test)]
+    pub(crate) fn headers(&self) -> &[XmlNode] {
         &self.header
     }
 
     /// The first header with the given local name.
-    pub fn header(&self, local: &str) -> Option<&XmlNode> {
+    pub(crate) fn header(&self, local: &str) -> Option<&XmlNode> {
         self.header
             .iter()
             .find(|h| crate::xml::local_name(&h.name) == local)
@@ -80,12 +81,12 @@ impl Envelope {
     }
 
     /// The body payload element.
-    pub fn body(&self) -> &XmlNode {
+    pub(crate) fn body(&self) -> &XmlNode {
         &self.body
     }
 
     /// Mutable access to the body payload element.
-    pub fn body_mut(&mut self) -> &mut XmlNode {
+    pub(crate) fn body_mut(&mut self) -> &mut XmlNode {
         &mut self.body
     }
 
@@ -124,7 +125,7 @@ impl Envelope {
     }
 
     /// Serializes to a SOAP document.
-    pub fn to_xml(&self) -> String {
+    pub(crate) fn to_xml(&self) -> String {
         let mut env = XmlNode::new("soap:Envelope")
             .attr("xmlns:soap", SOAP_NS)
             .attr("xmlns:wsa", WSA_NS);
@@ -142,7 +143,7 @@ impl Envelope {
     /// # Errors
     ///
     /// Returns [`XmlError`] if the XML is malformed or not an envelope.
-    pub fn parse(xml: &str) -> Result<Envelope, XmlError> {
+    pub(crate) fn parse(xml: &str) -> Result<Envelope, XmlError> {
         let root = XmlNode::parse(xml)?;
         if crate::xml::local_name(&root.name) != "Envelope" {
             // Reuse the error shape from the XML layer.

@@ -14,7 +14,7 @@ pub struct XmlNode {
     /// Tag name (possibly prefixed, e.g. `soap:Envelope`).
     pub name: String,
     /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
+    pub(crate) attrs: Vec<(String, String)>,
     /// Text content (appears before any children when serialized).
     pub text: String,
     /// Child elements.
@@ -104,7 +104,8 @@ impl XmlNode {
     }
 
     /// Serializes this element (no declaration).
-    pub fn to_xml(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_xml(&self) -> String {
         let mut s = String::new();
         self.write(&mut s);
         s

@@ -23,9 +23,9 @@ pub struct Bookstore {
     awaiting: HashMap<CallToken, (MessageContext, u64)>,
     /// Orders placed through cross-shard transaction commits (exactly-once
     /// audit: across all shards this must equal keys-per-commit × commits).
-    pub txn_orders: u64,
+    pub(crate) txn_orders: u64,
     /// Cart lines added through cross-shard transaction commits.
-    pub txn_cart_lines: u64,
+    pub(crate) txn_cart_lines: u64,
 }
 
 impl Bookstore {
@@ -40,11 +40,6 @@ impl Bookstore {
             txn_orders: 0,
             txn_cart_lines: 0,
         }
-    }
-
-    /// Read access to the store database (post-run assertions).
-    pub fn db(&self) -> &Db {
-        &self.db
     }
 
     /// Divides every emulated page cost by `scale` (an in-memory front

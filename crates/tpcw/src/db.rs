@@ -10,28 +10,28 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Item {
     /// Item id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Title.
-    pub title: String,
+    pub(crate) title: String,
     /// Price in cents.
-    pub price_cents: u64,
+    pub(crate) price_cents: u64,
     /// Remaining stock.
-    pub stock: u32,
+    pub(crate) stock: u32,
 }
 
 /// An order row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Order {
     /// Order id.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Session that placed it.
-    pub session: u64,
+    pub(crate) session: u64,
     /// (item, quantity) lines.
-    pub lines: Vec<(u32, u32)>,
+    pub(crate) lines: Vec<(u32, u32)>,
     /// Total in cents.
-    pub total_cents: u64,
+    pub(crate) total_cents: u64,
     /// Whether payment was authorized.
-    pub authorized: bool,
+    pub(crate) authorized: bool,
 }
 
 /// The store database.
@@ -69,7 +69,7 @@ impl Db {
     }
 
     /// Looks up an item.
-    pub fn item(&self, id: u32) -> Option<&Item> {
+    pub(crate) fn item(&self, id: u32) -> Option<&Item> {
         self.items.get(id as usize)
     }
 

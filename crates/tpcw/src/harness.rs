@@ -77,7 +77,7 @@ pub struct TpcwResult {
     /// Total interactions measured.
     pub interactions: u64,
     /// Interactions that triggered PGE calls.
-    pub pge_interactions: u64,
+    pub(crate) pge_interactions: u64,
     /// Fraction of traffic hitting the PGE.
     pub pge_share: f64,
     /// Read-only requests served on the fast path (`clbft.ro.served`).
@@ -85,9 +85,9 @@ pub struct TpcwResult {
     /// Read-only calls demoted to the ordered path (`clbft.ro.fallbacks`).
     pub ro_fallbacks: u64,
     /// Cross-shard transactions committed (`clbft.txn.committed`).
-    pub txn_committed: u64,
+    pub(crate) txn_committed: u64,
     /// Cross-shard transactions aborted (`clbft.txn.aborted`).
-    pub txn_aborted: u64,
+    pub(crate) txn_aborted: u64,
 }
 
 /// Runs the TPC-W benchmark once.

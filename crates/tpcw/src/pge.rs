@@ -36,7 +36,7 @@ impl Pge {
     }
 
     /// The synchronous variant (§6.4 comparison).
-    pub fn synchronous(bank: &str) -> Self {
+    pub(crate) fn synchronous(bank: &str) -> Self {
         Pge {
             bank_uri: format!("urn:svc:{bank}"),
             synchronous: true,

@@ -26,11 +26,11 @@ pub struct Rbe {
     /// into cross-shard transactions.
     cross_partner: Option<u64>,
     /// Cross-shard buy-confirms this browser saw commit.
-    pub cross_buy_commits: u64,
+    pub(crate) cross_buy_commits: u64,
     /// Interactions completed (including warm-up).
     pub completed: u64,
     /// Completion timestamps, for windowed WIPS computation.
-    pub completions: Vec<SimTime>,
+    pub(crate) completions: Vec<SimTime>,
     outstanding: Option<(CallId, SimTime)>,
     think_timer: Option<TimerId>,
     sweep_timer: Option<TimerId>,

@@ -189,7 +189,10 @@ fn flight_ring_is_bounded() {
     for node in 0..64u64 {
         if let Some(ring) = obs.flight_ring(node) {
             rings += 1;
-            assert!(ring.len() <= CAP, "node {node} ring over capacity");
+            assert!(
+                ring.events().count() <= CAP,
+                "node {node} ring over capacity"
+            );
             assert_eq!(ring.capacity(), CAP);
             if ring.total_recorded() > CAP as u64 {
                 evicted_somewhere = true;
